@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 from .core import GarsideStructure
 
@@ -86,6 +87,11 @@ class ArtinStructure(GarsideStructure):
                     changed = True
         return tuple(u)
 
+    def right_meet_simple(self, a, b):
+        # reversing a positive word inverts its permutation and turns
+        # suffixes into prefixes
+        return _invert(self.meet_simple(_invert(a), _invert(b)))
+
     def _complement(self, s):
         return _compose(_invert(s), self.delta)
 
@@ -108,6 +114,9 @@ class ArtinStructure(GarsideStructure):
         if self._simples is None:
             self._simples = tuple(sorted(permutations(range(1, self.n + 1))))
         return self._simples
+
+    def simple_count(self) -> int:
+        return factorial(self.n)
 
     def word_to_simple(self, word) -> tuple:
         """Product of atoms sigma_k for k in word, as a permutation.

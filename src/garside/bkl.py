@@ -17,6 +17,7 @@ validated exhaustively in the tests rather than taken on faith).
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .core import GarsideStructure
 from .artin import _compose, _invert
@@ -54,15 +55,38 @@ def partition_from_blocks(n: int, blocks) -> tuple:
     return _canonical_labels(labels)
 
 
+def _merge(labels: list, keep, drop) -> None:
+    """Merge block `drop` into block `keep`, in place."""
+    if keep != drop:
+        for i, lab in enumerate(labels):
+            if lab == drop:
+                labels[i] = keep
+
+
+def _crossing_blocks(labels):
+    """Labels of two crossing blocks, or None if the partition is
+    non-crossing.
+
+    Two blocks cross iff an arc of one crosses an arc of the other, an
+    arc joining consecutive elements of a block: if a < b < c < d with
+    a, c in X and b, d in Y, then b lies between consecutive elements of X
+    on the way from a to c, and the arcs of Y from b to d leave that gap.
+    """
+    last: dict = {}
+    arcs = []
+    for i, lab in enumerate(labels):
+        if lab in last:
+            arcs.append((last[lab], i))
+        last[lab] = i
+    for i, j in arcs:
+        for k, m in arcs:
+            if i < k < j < m:
+                return labels[i], labels[k]
+    return None
+
+
 def is_noncrossing(s: tuple) -> bool:
-    n = len(s)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    if s[a] == s[c] and s[b] == s[d] and s[a] != s[b]:
-                        return False
-    return True
+    return _crossing_blocks(s) is None
 
 
 class BKLStructure(GarsideStructure):
@@ -145,6 +169,21 @@ class BKLStructure(GarsideStructure):
     def meet_simple(self, a, b):
         return _canonical_labels(list(zip(a, b)))
 
+    def join_simple(self, a, b):
+        # the finest non-crossing partition coarser than both: join the
+        # blocks of a that b connects, then merge crossing blocks until
+        # none cross
+        labels = list(a)
+        first: dict = {}
+        for i, lab in enumerate(b):
+            j = first.setdefault(lab, i)
+            _merge(labels, labels[j], labels[i])
+        pair = _crossing_blocks(labels)
+        while pair is not None:
+            _merge(labels, *pair)
+            pair = _crossing_blocks(labels)
+        return _canonical_labels(labels)
+
     def _complement(self, s):
         return self.from_perm(_compose(_invert(self.to_perm(s)), self._delta_perm))
 
@@ -179,6 +218,10 @@ class BKLStructure(GarsideStructure):
                     stack.append((labels + (lab,), max(nblocks, lab + 1)))
             self._simples = tuple(sorted(out))
         return self._simples
+
+    def simple_count(self) -> int:
+        # Catalan(n) non-crossing partitions
+        return comb(2 * self.n, self.n) // (self.n + 1)
 
     # -- word conversions ----------------------------------------------------
 

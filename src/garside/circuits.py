@@ -1,4 +1,5 @@
-"""The sliding circuits graph and the conjugacy solver built on it.
+"""The sliding circuits graph, super summit sets, and the conjugacy
+solver built on them.
 
 SC(x), the set of sliding-circuit conjugates of x, is closed under
 conjugation by gcds: whenever two positive elements both conjugate a
@@ -8,9 +9,13 @@ of them as atoms, and the graph they span is finite and connected.  The
 solver slides both inputs onto circuits, builds the graph of one, and
 looks for the other.
 
-Arrow computation is the deliberately naive full scan over simple
-elements, refined per atom through the gcd-closure; good enough for desk
-scale, and the only correctness-critical part is the membership test.
+The super summit set is closed the same way.  For each atom a, the least
+simple c with a <= c keeping a summit element y in the set, rho_a(y), is
+a least fixpoint of lattice operations on simples (Franco and
+Gonzalez-Meneses), so the set is enumerated with one conjugation per atom
+and vertex.  Arrows of the sliding circuits graph are still found by a
+scan over all simple elements, refined per atom through the gcd-closure;
+its only correctness-critical part is the membership test.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from dataclasses import dataclass, field
 
 from .core import (
     GarsideElement,
+    GarsideStructure,
+    VerificationError,
     conjugate,
     conjugate_simple,
     from_simple,
@@ -45,6 +52,17 @@ class Budgets:
     max_set_size: int = 1_000_000
     max_trajectory_states: int = 1_000_000
     max_conjugator_norm: int = 20
+
+
+def check_simples_budget(st: GarsideStructure, budgets: Budgets) -> None:
+    """Refuse, before any enumeration, a structure with more simple
+    elements than ``budgets.max_set_size``."""
+    count = st.simple_count()
+    if count > budgets.max_set_size:
+        raise BudgetExceeded(
+            f"{st.name} has {count} simple elements, more than the set budget "
+            f"of {budgets.max_set_size}"
+        )
 
 
 class _SCMembership:
@@ -136,6 +154,7 @@ def compute_scg(x: GarsideElement, budgets: Budgets | None = None) -> SlidingCir
     indecomposable conjugators, composing witnesses along the way.
     """
     budgets = budgets or Budgets()
+    check_simples_budget(x.structure, budgets)
     rep, witness, traj = slide_to_circuit(x, budgets.max_trajectory_states)
     member = _SCMembership(rep.inf, rep.canonical_length, budgets)
     graph = SlidingCircuitsGraph(base=x)
@@ -162,7 +181,8 @@ def compute_scg(x: GarsideElement, budgets: Budgets | None = None) -> SlidingCir
                 frontier.append(target)
     graph.vertices.sort(key=lambda v: v.sort_key())
     for v, w in graph.witness_to_base.items():
-        assert conjugate(x, w) == v, "witness bookkeeping broke"
+        if conjugate(x, w) != v:
+            raise VerificationError("witness bookkeeping broke")
     return graph
 
 
@@ -201,10 +221,38 @@ def solve_csp(
     return ConjugatorWitness(x, y, c)
 
 
+def _summit_conjugator(y: GarsideElement, y_inv: GarsideElement, a):
+    """rho_a(y): the least simple c with a <= c and y^c in the super
+    summit set of y, for y in that set and y_inv = y^-1.
+
+    For y = Delta^p y_1 ... y_r, inf(y^c) >= p iff tau^p(c) <= y_1...y_r c,
+    iff (y_1...y_r) \\ tau^p(c) <= c, where u \\ t = u^-1 (u v t) is
+    computed factor by factor.  The same condition on y^-1 keeps
+    sup(y^c) <= sup(y).  Both lower bounds on c are monotone in c, so
+    iterating c <- c v bounds from c = a reaches the least fixpoint.
+    """
+    st = y.structure
+    c = a
+    while True:
+        nxt = c
+        for z in (y, y_inv):
+            t = st.tau_pow(c, z.p)
+            for f in z.factors:
+                t = st.lquot(f, st.join_simple(f, t))
+            nxt = st.join_simple(nxt, t)
+        if nxt == c:
+            return c
+        c = nxt
+
+
 def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
     """The set of conjugates of minimal canonical length (and, among those,
-    maximal infimum): closure of a summit representative under simple
-    conjugations that preserve the summit invariants."""
+    maximal infimum): closure of a summit representative under conjugation
+    by the per-atom minimal conjugators rho_a.
+
+    Every simple conjugator between two summit elements is a product of
+    such minimal ones, so the closure is the whole set.
+    """
     budgets = budgets or Budgets()
     rep, _, _ = slide_to_circuit(x, budgets.max_trajectory_states)
     st = x.structure
@@ -213,11 +261,15 @@ def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
     frontier = [rep]
     while frontier:
         y = frontier.pop()
-        for s in st.simples():
-            if st.is_trivial(s):
-                continue
-            z = conjugate_simple(y, s)
-            if z.inf == inf_s and z.canonical_length == ell_s and z not in known:
+        y_inv = inverse(y)
+        rhos = dict.fromkeys(_summit_conjugator(y, y_inv, a) for a in st.atoms)
+        for c in rhos:
+            z = conjugate_simple(y, c)
+            if z.inf != inf_s or z.canonical_length != ell_s:
+                raise VerificationError(
+                    "a minimal summit conjugator left the super summit set"
+                )
+            if z not in known:
                 if len(known) >= budgets.max_set_size:
                     raise BudgetExceeded(
                         f"summit set exceeded {budgets.max_set_size} elements"
@@ -225,6 +277,15 @@ def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
                 known.add(z)
                 frontier.append(z)
     return frozenset(known)
+
+
+def sliding_circuits_in_sss(sss: frozenset, budgets: Budgets | None = None) -> frozenset:
+    """The set of sliding circuits of a class, read off its super summit
+    set: SC is the part of SSS on which iterated sliding returns."""
+    budgets = budgets or Budgets()
+    some = next(iter(sss))
+    member = _SCMembership(some.inf, some.canonical_length, budgets)
+    return frozenset(y for y in sss if member(y))
 
 
 def _minimal_conjugator(x: GarsideElement, member, budgets: Budgets) -> GarsideElement:
@@ -247,10 +308,10 @@ def _minimal_conjugator(x: GarsideElement, member, budgets: Budgets) -> GarsideE
                 nxt.add(multiply(c, from_simple(st, a)))
         hits = [c for c in nxt if member(conjugate(x, c))]
         if hits:
-            hits.sort(key=lambda c: c.sort_key())
-            assert len(hits) == 1 or all(h == hits[0] for h in hits), (
-                "minimal conjugator is not unique; gcd-closure violated"
-            )
+            if len(hits) > 1:
+                raise VerificationError(
+                    "minimal conjugator is not unique; gcd-closure violated"
+                )
             return hits[0]
         layer = nxt
     raise BudgetExceeded(

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success (and "conjugate" for conj), 1 not conjugate,
-2 usage or parse error, 3 enumeration budget exhausted.
+2 usage or parse error, 3 enumeration budget exhausted, 4 a check that
+guards an answer failed (a program fault; no answer is printed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .circuits import (
     sliding_circuit_set,
     solve_csp,
 )
-from .core import conjugate
+from .core import VerificationError, conjugate
 from .experiments import (
     emit_csv,
     emit_json,
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_NOT_CONJUGATE = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_VERIFICATION = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of strands (default: 4)")
     g.add_argument("--format", choices=["text", "json", "csv"],
                    default=argparse.SUPPRESS)
-    g.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="random seed (reserved for randomized helpers)")
     g.add_argument("--max-vertices", type=int, default=argparse.SUPPRESS)
     g.add_argument("--max-set-size", type=int, default=argparse.SUPPRESS)
     g.add_argument("--max-trajectory", type=int, default=argparse.SUPPRESS)
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # filled in after parsing; argparse.set_defaults would mutate the shared
 # parent-parser actions and clobber flags given before the subcommand
 _DEFAULTS = {
-    "structure": "artin", "n": 4, "format": "text", "seed": 0,
+    "structure": "artin", "n": 4, "format": "text",
     "max_vertices": 100_000, "max_set_size": 1_000_000,
     "max_trajectory": 1_000_000,
 }
@@ -149,6 +149,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, TrajectoryCapExceeded) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 def _dispatch(args) -> int:
@@ -222,7 +225,8 @@ def _dispatch(args) -> int:
         if witness is None:
             print("NO")
             return EXIT_NOT_CONJUGATE
-        assert conjugate(x, witness.conjugator) == y
+        if conjugate(x, witness.conjugator) != y:
+            raise VerificationError("witness does not conjugate the inputs")
         if args.format == "json":
             print(json.dumps({"conjugate": True,
                               "witness": element_to_json(witness.conjugator)}))

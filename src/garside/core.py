@@ -16,6 +16,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
+class VerificationError(RuntimeError):
+    """A check that guards a computed answer failed.
+
+    The input was valid and the program is at fault.  Unlike an ``assert``,
+    the check is not stripped under ``python -O``.
+    """
+
+
 class GarsideStructure:
     """Contract a concrete finite-type Garside structure must satisfy.
 
@@ -84,6 +92,10 @@ class GarsideStructure:
 
     def simples(self) -> tuple:
         """All simple elements, in the canonical total order."""
+        raise NotImplementedError
+
+    def simple_count(self) -> int:
+        """Number of simple elements, known without enumerating them."""
         raise NotImplementedError
 
     def sort_key(self, s):
@@ -167,6 +179,17 @@ class GarsideStructure:
                     changed = True
         return u
 
+    def join_simple(self, a, b):
+        """Least common multiple of two simples for the prefix order.
+
+        a <= c iff partial(c) is a suffix of partial(a), so
+        a v b = partial^-1(partial(a) /\\' partial(b)), where /\\' is the
+        greatest common suffix.
+        """
+        return self.complement_inv(
+            self.right_meet_simple(self.complement(a), self.complement(b))
+        )
+
 
 class ReverseStructure(GarsideStructure):
     """The reverse Garside structure (G, P^-1, Delta^-1) of a base structure.
@@ -219,6 +242,9 @@ class ReverseStructure(GarsideStructure):
 
     def simples(self) -> tuple:
         return self.base.simples()
+
+    def simple_count(self) -> int:
+        return self.base.simple_count()
 
     def sort_key(self, s):
         return self.base.sort_key(s)

@@ -8,7 +8,8 @@ of the set of sliding circuits are recorded.
 
 At canonical length 1 the super summit set consists entirely of elements
 Delta^i t, so classes can be enumerated by marking off simples as their
-classes are computed.
+classes are computed.  The set of sliding circuits lies inside the super
+summit set, so it is read off the latter by the membership test.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .circuits import Budgets, compute_sss, sliding_circuit_set
+from .circuits import (
+    Budgets,
+    check_simples_budget,
+    compute_sss,
+    sliding_circuits_in_sss,
+)
 from .core import GarsideElement, GarsideStructure, delta_power, from_simple, multiply
 from .sliding import slide_to_circuit
 
@@ -59,6 +65,7 @@ def enumerate_length_one_classes(
     """All conjugacy classes with summit infimum i and summit canonical
     length 1, as ClassStatistics sorted by class representative."""
     budgets = budgets or Budgets()
+    check_simples_budget(st, budgets)
     results = []
     assigned: set = set()
     for s in st.simples():
@@ -70,8 +77,8 @@ def enumerate_length_one_classes(
         rep, _, _ = slide_to_circuit(x, budgets.max_trajectory_states)
         if rep.inf != i or rep.canonical_length != 1:
             continue
-        sss = compute_sss(x, budgets)
-        sc = sliding_circuit_set(x, budgets)
+        sss = compute_sss(rep, budgets)
+        sc = sliding_circuits_in_sss(sss, budgets)
         assigned.update(sss)
         representative = min(sc, key=lambda v: v.sort_key())
         results.append(ClassStatistics(representative, len(sss), len(sc)))

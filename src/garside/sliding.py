@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .core import (
     GarsideElement,
+    VerificationError,
     conjugate,
     conjugate_simple,
     delta_power,
@@ -26,9 +27,10 @@ from .core import (
 
 
 class TrajectoryCapExceeded(RuntimeError):
-    """Iterated sliding exceeded the configured state cap.
+    """Iterated sliding, cycling or decycling exceeded the configured
+    state cap.
 
-    Sliding trajectories are always eventually periodic, so hitting the
+    These orbits are always eventually periodic, so hitting the
     cap indicates either an absurdly long transient or a bug; we abort
     loudly instead of looping.
     """
@@ -96,7 +98,8 @@ def preferred_suffix(x: GarsideElement):
     r = right_meet(right_meet(a, b), delta_power(st, 1))
     if r.p == 1:
         return st.delta
-    assert r.p == 0 and len(r.factors) <= 1
+    if r.p != 0 or len(r.factors) > 1:
+        raise VerificationError("preferred suffix is not a simple element")
     return r.factors[0] if r.factors else st.trivial
 
 
@@ -236,29 +239,32 @@ def in_sss(x: GarsideElement, max_states: int = 10**6) -> bool:
     return x.inf == inv.inf_s and x.sup == inv.sup_s
 
 
-def _returns(x: GarsideElement, step) -> bool:
+def _returns(x: GarsideElement, step, max_states: int) -> bool:
+    """Does iterating step from x come back to x?  The orbit may hold at
+    most max_states states, as for a sliding trajectory."""
+    seen = {x}
     cur = step(x)
-    seen = set()
-    while True:
-        if cur == x:
-            return True
-        if cur in seen:
-            return False
+    while cur not in seen:
+        if len(seen) >= max_states:
+            raise TrajectoryCapExceeded(
+                f"orbit exceeded {max_states} states from {x!r}"
+            )
         seen.add(cur)
         cur = step(cur)
+    return cur == x
 
 
 def in_uss(x: GarsideElement, max_states: int = 10**6) -> bool:
     """x is super summit and recurrent under cycling."""
-    return in_sss(x, max_states) and _returns(x, cycling)
+    return in_sss(x, max_states) and _returns(x, cycling, max_states)
 
 
 def in_rsss(x: GarsideElement, max_states: int = 10**6) -> bool:
     """x is super summit and recurrent under both cycling and decycling."""
     return (
         in_sss(x, max_states)
-        and _returns(x, cycling)
-        and _returns(x, decycling)
+        and _returns(x, cycling, max_states)
+        and _returns(x, decycling, max_states)
     )
 
 

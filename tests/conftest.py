@@ -4,7 +4,8 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
-from garside.core import left_normal_form
+from garside.core import conjugate_simple, from_simple, left_normal_form, multiply
+from garside.sliding import slide_to_circuit
 
 
 def pytest_addoption(parser):
@@ -47,6 +48,26 @@ def structures_for_properties():
     return [artin_structure(n) for n in (3, 4, 5)] + [
         bkl_structure(n) for n in (3, 4, 5, 6)
     ]
+
+
+def sss_with_witnesses(x):
+    """Summit-set oracle: closure of a summit representative under
+    conjugation by every simple element, keeping a conjugator per member."""
+    st = x.structure
+    rep, wit, _ = slide_to_circuit(x)
+    out = {rep: wit}
+    frontier = [rep]
+    while frontier:
+        y = frontier.pop()
+        for s in st.simples():
+            if st.is_trivial(s):
+                continue
+            z = conjugate_simple(y, s)
+            if z.inf == rep.inf and z.canonical_length == rep.canonical_length \
+                    and z not in out:
+                out[z] = multiply(out[y], from_simple(st, s))
+                frontier.append(z)
+    return out
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Sliding circuits graph, summit sets, solver and conjugator oracles."""
 
+import random
+
 import pytest
 
 from garside.artin import artin_structure
@@ -8,6 +10,7 @@ from garside.circuits import (
     BudgetExceeded,
     Budgets,
     _SCMembership,
+    _summit_conjugator,
     compute_scg,
     compute_sss,
     indecomposable_conjugators,
@@ -19,6 +22,7 @@ from garside.circuits import (
 )
 from garside.core import (
     GarsideElement,
+    VerificationError,
     conjugate,
     conjugate_simple,
     delta_power,
@@ -43,7 +47,7 @@ from garside.sliding import (
     slide_to_circuit,
 )
 
-from conftest import random_element
+from conftest import random_element, sss_with_witnesses
 
 
 def el(st, ks):
@@ -55,26 +59,6 @@ def delta_seed(st):
     return el(st, list(range(st.n - 1, 0, -1)))
 
 
-def sss_with_witnesses(x, budgets=None):
-    """Independent summit-set enumeration keeping a conjugator per member."""
-    budgets = budgets or Budgets()
-    st = x.structure
-    rep, wit, _ = slide_to_circuit(x)
-    out = {rep: wit}
-    frontier = [rep]
-    while frontier:
-        y = frontier.pop()
-        for s in st.simples():
-            if st.is_trivial(s):
-                continue
-            z = conjugate_simple(y, s)
-            if z.inf == rep.inf and z.canonical_length == rep.canonical_length \
-                    and z not in out:
-                out[z] = multiply(out[y], from_simple(st, s))
-                frontier.append(z)
-    return out
-
-
 def test_benchmark_sets_b4():
     st = artin_structure(4)
     x = el(st, [1, 2, 3])
@@ -84,6 +68,67 @@ def test_benchmark_sets_b4():
     assert sliding_circuit_set(x) == frozenset(
         {el(st, [2, 1, 3]), el(st, [1, 3, 2])}
     )
+
+
+def test_sss_matches_scan_on_length_one_rows():
+    """Every class of the n=4,5 statistics rows with i=0,1: the closure
+    under minimal summit conjugators equals the scan over all simples."""
+    for st in [artin_structure(4), artin_structure(5),
+               bkl_structure(4), bkl_structure(5)]:
+        for i in (0, 1):
+            covered = set()
+            for s in st.simples():
+                if st.is_trivial(s) or st.is_delta(s):
+                    continue
+                x = multiply(delta_power(st, i), from_simple(st, s))
+                if x in covered:
+                    continue
+                expected = frozenset(sss_with_witnesses(x))
+                covered.update(expected)
+                assert compute_sss(x) == expected
+
+
+def test_sss_matches_scan_on_random_words():
+    """Random classes of summit canonical length >= 2."""
+    rng = random.Random(20261018)
+    for st, letters, samples in [(artin_structure(5), 16, 4), (bkl_structure(4), 12, 6)]:
+        checked = 0
+        while checked < samples:
+            x = random_element(st, rng, length=letters)
+            if slide_to_circuit(x)[0].canonical_length < 2:
+                continue
+            assert compute_sss(x) == frozenset(sss_with_witnesses(x))
+            checked += 1
+
+
+def test_summit_conjugators_are_least_above_each_atom(rng):
+    """rho_a(y) is the meet of every simple above a that keeps y in its
+    super summit set."""
+    for st in [artin_structure(4), bkl_structure(4)]:
+        for _ in range(6):
+            y = slide_to_circuit(random_element(st, rng, length=8))[0]
+            y_inv = inverse(y)
+            keep = [
+                s for s in st.simples()
+                if conjugate_simple(y, s).inf == y.inf
+                and conjugate_simple(y, s).canonical_length == y.canonical_length
+            ]
+            for a in st.atoms:
+                above = [s for s in keep if st.leq(a, s)]
+                least = above[0]
+                for s in above[1:]:
+                    least = st.meet_simple(least, s)
+                assert _summit_conjugator(y, y_inv, a) == least
+
+
+def test_summit_conjugate_leaving_the_set_is_a_program_fault(monkeypatch):
+    import garside.circuits
+
+    st = artin_structure(4)
+    monkeypatch.setattr(garside.circuits, "conjugate_simple",
+                        lambda y, c: identity_element(st))
+    with pytest.raises(VerificationError):
+        compute_sss(el(st, [1, 2, 3]))
 
 
 def test_sss_of_delta_powers():
@@ -365,6 +410,13 @@ def test_budget_exhaustion_is_loud():
         compute_scg(x, Budgets(max_vertices=1))
     with pytest.raises(BudgetExceeded):
         compute_sss(x, Budgets(max_set_size=2))
+    bst = bkl_structure(5)
+    with pytest.raises(BudgetExceeded):
+        compute_sss(from_simple(bst, bst.atom(3, 1)), Budgets(max_set_size=2))
+    # the scan over simples is refused before it enumerates them
+    with pytest.raises(BudgetExceeded):
+        compute_scg(x, Budgets(max_set_size=len(st.simples()) - 1))
+    assert len(compute_scg(x, Budgets(max_set_size=len(st.simples()))).vertices) == 2
     with pytest.raises(BudgetExceeded):
         minimal_sc_conjugator(el(st, [3, 2, 1]), Budgets(max_conjugator_norm=0))
 

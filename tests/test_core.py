@@ -6,6 +6,7 @@ from itertools import permutations
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
 from garside.core import (
+    GarsideStructure,
     ReverseStructure,
     conjugate_simple,
     delta_power,
@@ -331,3 +332,25 @@ def test_conjugate_simple_matches_generic_conjugation(rng):
             x = random_element(st, rng)
             s = rng.choice(st.simples())
             assert conjugate_simple(x, s) == conjugate(x, from_simple(st, s))
+
+
+def test_join_simple_matches_complement_definition():
+    """a v b = partial^-1(partial a /\\' partial b), with the generic greedy
+    right meet, on all pairs of simples; and it is the least upper bound."""
+    for st in [artin_structure(n) for n in (2, 3, 4, 5)] + [
+        bkl_structure(n) for n in (2, 3, 4, 5)
+    ]:
+        simples = st.simples()
+        for a in simples:
+            ca = st.complement(a)
+            for b in simples:
+                j = st.join_simple(a, b)
+                generic = GarsideStructure.right_meet_simple(st, ca, st.complement(b))
+                assert j == st.complement_inv(generic)
+                assert st.leq(a, j) and st.leq(b, j)
+        if st.n <= 4:
+            for a in simples:
+                for b in simples:
+                    j = st.join_simple(a, b)
+                    assert all(st.leq(j, c) for c in simples
+                               if st.leq(a, c) and st.leq(b, c))

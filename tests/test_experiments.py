@@ -36,6 +36,18 @@ def test_class_partition_b4():
     assert reps == sorted(reps, key=lambda v: v.sort_key())
 
 
+def test_sc_read_off_sss_matches_graph():
+    """Every class of the n=4,5 rows with i=0,1: the table's SC, read off
+    the summit set, equals the sliding circuits graph's vertex set."""
+    for st in [artin_structure(4), artin_structure(5),
+               bkl_structure(4), bkl_structure(5)]:
+        for i in (0, 1):
+            for c in enumerate_length_one_classes(st, i):
+                sc = sliding_circuit_set(c.representative)
+                assert c.sc_size == len(sc)
+                assert c.representative == min(sc, key=lambda v: v.sort_key())
+
+
 def test_row_b4_artin_exact():
     st = artin_structure(4)
     classes = enumerate_length_one_classes(st)

@@ -24,6 +24,7 @@ from garside.core import (
     to_reverse,
 )
 from garside.sliding import (
+    TrajectoryCapExceeded,
     cyclic_right_sliding,
     cyclic_sliding,
     cycling,
@@ -428,6 +429,30 @@ def test_membership_examples_b4():
     for k in range(-2, 3):
         d = delta_power(st, k)
         assert in_sss(d) and in_uss(d) and in_rsss(d) and in_sc(d)
+
+
+def test_recurrence_tests_are_capped():
+    """The cycling orbit behind in_uss/in_rsss obeys the state cap, also
+    where the sliding trajectory fits well inside it."""
+    from garside.words import parse_word
+
+    st = artin_structure(4)
+    y = parse_word(st, "D^-5 s2 s3 s1 s3 s2 s2 s3 s1 s1 s2 s3 s2 s1 "
+                       "s1 s2 s3 s2 s1 s1 s2 s3 s2 s1 s3 s3 s2")
+    assert len(sliding_trajectory(y).states) == 1
+    orbit = {y}
+    cur = cycling(y)
+    while cur not in orbit:
+        orbit.add(cur)
+        cur = cycling(cur)
+    assert len(orbit) == 16
+    assert in_sss(y, max_states=2)
+    for check in (in_uss, in_rsss):
+        with pytest.raises(TrajectoryCapExceeded):
+            check(y, max_states=2)
+        with pytest.raises(TrajectoryCapExceeded):
+            check(y, max_states=len(orbit) - 1)
+    assert in_uss(y, max_states=len(orbit)) == in_uss(y)
 
 
 def test_rigidity_basics():

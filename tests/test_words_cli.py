@@ -220,6 +220,37 @@ def test_cli_budget_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_cli_refuses_too_many_simples_before_enumerating(capsys, monkeypatch):
+    st = artin_structure(11)
+
+    def enumerate_simples():
+        raise AssertionError("simples enumerated")
+
+    monkeypatch.setattr(st, "simples", enumerate_simples)
+    code, _, err = run_cli(capsys, ["--n", "11", "conj", "s1 s2", "s2 s3"])
+    assert code == 3
+    assert "simple elements" in err
+    code, _, _ = run_cli(capsys, ["--n", "11", "table"])
+    assert code == 3
+
+
+def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
+    import garside.cli
+
+    monkeypatch.setattr(garside.cli, "conjugate",
+                        lambda x, c: identity_element(x.structure))
+    code, out, err = run_cli(capsys, ["conj", "s1 s2 s3", "s2 s1 s3"])
+    assert code == 4
+    assert out == ""
+    assert "internal check failed" in err
+
+
+def test_cli_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "nf", "s1"])
+    assert exc.value.code == 2
+
+
 def test_cli_table_csv(capsys):
     code, out, _ = run_cli(capsys, ["table", "--n", "4", "--format", "csv"])
     assert code == 0
