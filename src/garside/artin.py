@@ -20,7 +20,7 @@ from .core import GarsideStructure
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    return tuple(b[a[i] - 1] for i in range(len(a)))
+    return tuple([b[i - 1] for i in a])
 
 
 def _invert(a: tuple) -> tuple:
@@ -102,7 +102,11 @@ class ArtinStructure(GarsideStructure):
         return _compose(a, b)
 
     def lquot(self, s, b):
-        return _compose(_invert(s), b)
+        # s^-1 b in one pass, from (s^-1 b)(s(i)) = b(i)
+        out = [0] * self.n
+        for i, v in enumerate(s):
+            out[v - 1] = b[i]
+        return tuple(out)
 
     def rquot(self, b, s):
         return _compose(b, _invert(s))

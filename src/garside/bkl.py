@@ -8,10 +8,16 @@ delta = sigma_{n-1} ... sigma_1; the atoms are the band generators a_{t,s}
 
 A block {i_1 < ... < i_k} corresponds to the braid
 a_{i_k, i_{k-1}} ... a_{i_2, i_1}, whose underlying permutation is the
-cycle i_1 -> i_2 -> ... -> i_k -> i_1.  Divisibility of simples is
-refinement of partitions; complement and tau are computed through the
-underlying permutations, which realizes the Kreweras complement (this is
-validated exhaustively in the tests rather than taken on faith).
+cycle i_1 -> i_2 -> ... -> i_k -> i_1.  Divisibility of simples, as a
+prefix and as a suffix, is refinement of partitions, so both meets are the
+blockwise meet.  Products, quotients and the complement are computed
+through the underlying permutations, which realizes the Kreweras
+complement (this is validated exhaustively in the tests rather than taken
+on faith), and the join is the complement-side meet pulled back through
+it.  The permutation view is memoised both ways per structure: a
+partition's permutation and its inverse are built once, and a
+permutation's partition is built, and checked to be increasing on every
+cycle and non-crossing, once.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .core import GarsideStructure
+from .core import GarsideStructure, VerificationError
 from .artin import _compose, _invert
 
 
@@ -55,17 +61,8 @@ def partition_from_blocks(n: int, blocks) -> tuple:
     return _canonical_labels(labels)
 
 
-def _merge(labels: list, keep, drop) -> None:
-    """Merge block `drop` into block `keep`, in place."""
-    if keep != drop:
-        for i, lab in enumerate(labels):
-            if lab == drop:
-                labels[i] = keep
-
-
-def _crossing_blocks(labels):
-    """Labels of two crossing blocks, or None if the partition is
-    non-crossing.
+def is_noncrossing(s: tuple) -> bool:
+    """True iff no two blocks of the partition cross.
 
     Two blocks cross iff an arc of one crosses an arc of the other, an
     arc joining consecutive elements of a block: if a < b < c < d with
@@ -74,19 +71,15 @@ def _crossing_blocks(labels):
     """
     last: dict = {}
     arcs = []
-    for i, lab in enumerate(labels):
+    for i, lab in enumerate(s):
         if lab in last:
             arcs.append((last[lab], i))
         last[lab] = i
     for i, j in arcs:
         for k, m in arcs:
             if i < k < j < m:
-                return labels[i], labels[k]
-    return None
-
-
-def is_noncrossing(s: tuple) -> bool:
-    return _crossing_blocks(s) is None
+                return False
+    return True
 
 
 class BKLStructure(GarsideStructure):
@@ -106,8 +99,10 @@ class BKLStructure(GarsideStructure):
             self.atom(t, s) for t in range(2, n + 1) for s in range(1, t)
         )
         self._delta_perm = tuple(range(2, n + 1)) + (1,)  # i -> i+1 cyclically
-        self._delta_perm_inv = _invert(self._delta_perm)
         self._simples: tuple | None = None
+        self._perm_cache: dict = {}
+        self._perm_inv_cache: dict = {}
+        self._from_perm_cache: dict = {}
 
     def atom(self, t: int, s: int) -> tuple:
         """The band generator a_{t,s} as a partition (block {s,t})."""
@@ -118,22 +113,39 @@ class BKLStructure(GarsideStructure):
         return _canonical_labels(raw)
 
     # -- permutation view ---------------------------------------------------
+    # Memoised both ways.  The arguments are simples, and from_perm caches
+    # a permutation only once it has passed its checks, so each cache holds
+    # at most Catalan(n) entries.
 
     def to_perm(self, s: tuple) -> tuple:
         """Underlying permutation: each block an increasing cycle."""
-        im = list(range(1, self.n + 1))
-        for b in blocks_of(s):
-            for i in range(len(b)):
-                im[b[i] - 1] = b[(i + 1) % len(b)]
-        return tuple(im)
+        perm = self._perm_cache.get(s)
+        if perm is None:
+            im = list(range(1, self.n + 1))
+            for b in blocks_of(s):
+                for i in range(len(b)):
+                    im[b[i] - 1] = b[(i + 1) % len(b)]
+            perm = self._perm_cache[s] = tuple(im)
+        return perm
+
+    def _perm_inv(self, s: tuple) -> tuple:
+        """Inverse of the underlying permutation of s."""
+        perm = self._perm_inv_cache.get(s)
+        if perm is None:
+            perm = self._perm_inv_cache[s] = _invert(self.to_perm(s))
+        return perm
 
     def from_perm(self, perm: tuple) -> tuple:
         """Partition whose blocks are the cycles of perm.
 
-        Raises ValueError if some cycle does not traverse its support in
-        increasing order or the resulting partition crosses; within this
-        structure's arithmetic that never happens for legitimate inputs.
+        Raises VerificationError if some cycle does not traverse its
+        support in increasing order or the resulting partition crosses;
+        within this structure's arithmetic that never happens, so it
+        signals a program fault.
         """
+        s = self._from_perm_cache.get(perm)
+        if s is not None:
+            return s
         n = self.n
         labels = [-1] * n
         for start in range(1, n + 1):
@@ -145,12 +157,13 @@ class BKLStructure(GarsideStructure):
                 cyc.append(j)
                 j = perm[j - 1]
             if cyc != sorted(cyc):
-                raise ValueError("cycle is not increasing; not a simple element")
+                raise VerificationError("cycle is not increasing; not a simple element")
             for i in cyc:
                 labels[i - 1] = start
         s = _canonical_labels(labels)
         if not is_noncrossing(s):
-            raise ValueError("crossing partition; not a simple element")
+            raise VerificationError("crossing partition; not a simple element")
+        self._from_perm_cache[perm] = s
         return s
 
     # -- descriptor contract -------------------------------------------------
@@ -169,35 +182,27 @@ class BKLStructure(GarsideStructure):
     def meet_simple(self, a, b):
         return _canonical_labels(list(zip(a, b)))
 
-    def join_simple(self, a, b):
-        # the finest non-crossing partition coarser than both: join the
-        # blocks of a that b connects, then merge crossing blocks until
-        # none cross
-        labels = list(a)
-        first: dict = {}
-        for i, lab in enumerate(b):
-            j = first.setdefault(lab, i)
-            _merge(labels, labels[j], labels[i])
-        pair = _crossing_blocks(labels)
-        while pair is not None:
-            _merge(labels, *pair)
-            pair = _crossing_blocks(labels)
-        return _canonical_labels(labels)
+    # The suffix order is refinement too: u is a prefix (suffix) of w iff
+    # norm(u) plus the reflection length of u^-1 w (of w u^-1) is norm(w),
+    # and those two permutations are conjugate.  So the greatest common
+    # suffix is the blockwise meet, and GarsideStructure.join_simple takes
+    # the join through the Kreweras complement.
+    right_meet_simple = meet_simple
 
     def _complement(self, s):
-        return self.from_perm(_compose(_invert(self.to_perm(s)), self._delta_perm))
+        return self.from_perm(_compose(self._perm_inv(s), self._delta_perm))
 
     def _complement_inv(self, s):
-        return self.from_perm(_compose(self._delta_perm, _invert(self.to_perm(s))))
+        return self.from_perm(_compose(self._delta_perm, self._perm_inv(s)))
 
     def prod(self, a, b):
         return self.from_perm(_compose(self.to_perm(a), self.to_perm(b)))
 
     def lquot(self, s, b):
-        return self.from_perm(_compose(_invert(self.to_perm(s)), self.to_perm(b)))
+        return self.from_perm(_compose(self._perm_inv(s), self.to_perm(b)))
 
     def rquot(self, b, s):
-        return self.from_perm(_compose(self.to_perm(b), _invert(self.to_perm(s))))
+        return self.from_perm(_compose(self.to_perm(b), self._perm_inv(s)))
 
     def _norm(self, s) -> int:
         return self.n - len(set(s))
@@ -234,13 +239,6 @@ class BKLStructure(GarsideStructure):
             for i in range(len(b) - 1, 0, -1):
                 out.append((b[i], b[i - 1]))
         return out
-
-    def band_to_artin_word(self, t: int, s: int) -> list:
-        """a_{t,s} as a word in sigma_k letters (k, +-1)."""
-        word = [(k, 1) for k in range(t - 1, s, -1)]
-        word.append((s, 1))
-        word += [(k, -1) for k in range(s + 1, t)]
-        return word
 
 
 @lru_cache(maxsize=None)

@@ -105,7 +105,7 @@ def indecomposable_conjugators(y: GarsideElement, member) -> list:
     """
     st = y.structure
     if not member(y):
-        raise ValueError("element is not in the set; conjugator search undefined")
+        raise VerificationError("element is not in the set; conjugator search undefined")
     per_atom: dict = {}
     for a in st.atoms:
         per_atom[a] = None
@@ -198,7 +198,7 @@ class ConjugatorWitness:
 
     def __post_init__(self) -> None:
         if conjugate(self.source, self.conjugator) != self.target:
-            raise ValueError("witness does not conjugate source to target")
+            raise VerificationError("witness does not conjugate source to target")
 
 
 def solve_cdp(x: GarsideElement, y: GarsideElement, budgets: Budgets | None = None) -> bool:

@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 success (and "conjugate" for conj), 1 not conjugate,
-2 usage or parse error, 3 enumeration budget exhausted, 4 a check that
-guards an answer failed (a program fault; no answer is printed).
+2 usage or parse error (bad input), 3 enumeration budget exhausted, 4 a
+check that guards an answer failed, 5 any other internal error.  Codes 4
+and 5 are program faults: a one-line message goes to stderr and no answer
+is printed.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_NOT_CONJUGATE = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_VERIFICATION = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,15 +146,16 @@ def main(argv=None) -> int:
     except WordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (BudgetExceeded, TrajectoryCapExceeded) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except VerificationError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except Exception as exc:
+        # a program fault must not exit 1, which means "not conjugate"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:
@@ -256,7 +260,7 @@ def _dispatch(args) -> int:
                 print(f"P_{i}: {render_element(c)}")
         return EXIT_OK
 
-    raise AssertionError(f"unhandled command {args.command}")
+    raise RuntimeError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -490,28 +490,18 @@ def right_join(a: GarsideElement, b: GarsideElement) -> GarsideElement:
     return inverse(meet(inverse(a), inverse(b)))
 
 
-def to_reverse(x: GarsideElement, rev: ReverseStructure) -> GarsideElement:
-    """Rewrite x over the reverse structure of x.structure.
+def reverse_rewrite(x: GarsideElement, target: GarsideStructure) -> GarsideElement:
+    """Rewrite x over target, where one of x.structure and target is the
+    :class:`ReverseStructure` of the other.
 
-    Each base letter g is expressed through reverse letters: g = (g^-1)^-1
-    and g^-1 is encoded by the same simple value in the reverse structure.
+    Each letter g is expressed through letters of the other structure:
+    g = (g^-1)^-1, and g^-1 is encoded there by the same simple value.  The
+    mapping is an involution on words, so it serves both directions.
     """
-    if rev.base is not x.structure:
-        raise ValueError("reverse structure does not match")
-    word = [(rev.delta, -1) for _ in range(x.p)] if x.p >= 0 else [
-        (rev.delta, 1) for _ in range(-x.p)
-    ]
-    word += [(f, -1) for f in x.factors]
-    return left_normal_form(rev, word)
-
-
-def from_reverse(x: GarsideElement, base: GarsideStructure) -> GarsideElement:
-    """Inverse of :func:`to_reverse`; the mapping is an involution on words."""
-    rev = x.structure
-    if not isinstance(rev, ReverseStructure) or rev.base is not base:
-        raise ValueError("element is not over the reverse of the given structure")
-    word = [(base.delta, -1) for _ in range(x.p)] if x.p >= 0 else [
-        (base.delta, 1) for _ in range(-x.p)
-    ]
-    word += [(f, -1) for f in x.factors]
-    return left_normal_form(base, word)
+    st = x.structure
+    if not (isinstance(target, ReverseStructure) and target.base is st
+            or isinstance(st, ReverseStructure) and st.base is target):
+        raise ValueError("the structures are not reverses of one another")
+    sign = -1 if x.p >= 0 else 1
+    word = [(target.delta, sign)] * abs(x.p) + [(f, -1) for f in x.factors]
+    return left_normal_form(target, word)

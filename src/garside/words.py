@@ -56,14 +56,13 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
     m = _SIGMA.match(tok)
     if m:
         k, e = int(m.group(1)), -1 if m.group(2) else 1
+        if not isinstance(st, (ArtinStructure, BKLStructure)):
+            raise WordError("sigma letters need a braid structure", idx)
+        if not 1 <= k < st.n:
+            raise WordError(f"sigma index {k} out of range", idx)
         if isinstance(st, ArtinStructure):
             return [(st.atom(k), e)]
-        if isinstance(st, BKLStructure):
-            if not 1 <= k < st.n:
-                raise WordError(f"sigma index {k} out of range", idx)
-            a = st.atom(k + 1, k)
-            return [(a, e)]
-        raise WordError("sigma letters need a braid structure", idx)
+        return [(st.atom(k + 1, k), e)]
     m = _BAND.match(tok)
     if m:
         t, s, e = int(m.group(1)), int(m.group(2)), -1 if m.group(3) else 1
@@ -78,9 +77,7 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
         if isinstance(st, ArtinStructure):
             if not 1 <= s < t <= st.n:
                 raise WordError(f"band indices ({t},{s}) out of range", idx)
-            word = [(st.atom(k), 1) for k in range(t - 1, s, -1)]
-            word.append((st.atom(s), 1))
-            word += [(st.atom(k), -1) for k in range(s + 1, t)]
+            word = [(st.atom(k), ek) for k, ek in band_to_sigma_word(t, s)]
             if e == -1:
                 word = [(a, -ex) for a, ex in reversed(word)]
             return word
@@ -93,6 +90,15 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
             raise WordError(f"not a permutation of 1..{st.n}: {tok}", idx)
         return [(images, 1)]
     raise WordError(f"unrecognized token {tok!r}", idx)
+
+
+def band_to_sigma_word(t: int, s: int) -> list:
+    """a_{t,s} as a word of sigma letters (k, +-1):
+    sigma_{t-1} ... sigma_{s+1} sigma_s sigma_{s+1}^-1 ... sigma_{t-1}^-1."""
+    word = [(k, 1) for k in range(t - 1, s, -1)]
+    word.append((s, 1))
+    word += [(k, -1) for k in range(s + 1, t)]
+    return word
 
 
 def render_simple(st: GarsideStructure, s) -> str:

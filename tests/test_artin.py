@@ -4,7 +4,13 @@ from itertools import permutations
 
 import pytest
 
-from garside.artin import ArtinStructure, _inversions, _invert, artin_structure
+from garside.artin import (
+    ArtinStructure,
+    _compose,
+    _inversions,
+    _invert,
+    artin_structure,
+)
 from garside.core import from_simple, left_normal_form, prefix_leq
 
 
@@ -105,3 +111,12 @@ def test_normal_form_of_atom_words_matches_length():
     st = artin_structure(4)
     x = left_normal_form(st, [(st.atom(1), 1)] * 3)
     assert x.p == 0 and len(x.factors) == 3
+
+
+def test_one_pass_lquot_matches_composition_with_inverse():
+    for n in (2, 3, 4, 5):
+        st = artin_structure(n)
+        for s in st.simples():
+            inv = _invert(s)
+            for b in st.simples():
+                assert st.lquot(s, b) == _compose(inv, b)

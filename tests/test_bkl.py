@@ -6,7 +6,9 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import BKLStructure, bkl_structure, blocks_of, is_noncrossing
+from garside.cli import main
 from garside.core import (
+    VerificationError,
     delta_power,
     from_simple,
     left_normal_form,
@@ -14,10 +16,48 @@ from garside.core import (
     power,
     prefix_leq,
 )
+from garside.words import band_to_sigma_word
 
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+def _crossing_pair(labels):
+    """Labels of two crossing blocks, or None."""
+    last: dict = {}
+    arcs = []
+    for i, lab in enumerate(labels):
+        if lab in last:
+            arcs.append((last[lab], i))
+        last[lab] = i
+    for i, j in arcs:
+        for k, m in arcs:
+            if i < k < j < m:
+                return labels[i], labels[k]
+    return None
+
+
+def merge_and_uncross_join(a, b):
+    """Join oracle: the finest non-crossing partition coarser than both.
+    Join the blocks of a that b connects, then merge crossing blocks until
+    none cross."""
+    labels = list(a)
+
+    def merge(keep, drop):
+        for i, lab in enumerate(labels):
+            if lab == drop:
+                labels[i] = keep
+
+    first: dict = {}
+    for i, lab in enumerate(b):
+        merge(labels[first.setdefault(lab, i)], labels[i])
+    pair = _crossing_pair(labels)
+    while pair is not None:
+        merge(*pair)
+        pair = _crossing_pair(labels)
+    seen: dict = {}
+    return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
 
 
 def test_descriptor_basics():
@@ -49,7 +89,7 @@ def test_band_generator_is_conjugated_sigma():
         st = bkl_structure(n)
         for t in range(2, n + 1):
             for s in range(1, t):
-                word = [(st.atom(k + 1, k), e) for k, e in st.band_to_artin_word(t, s)]
+                word = [(st.atom(k + 1, k), e) for k, e in band_to_sigma_word(t, s)]
                 assert left_normal_form(st, word) == from_simple(st, st.atom(t, s))
 
 
@@ -153,3 +193,35 @@ def test_delta_n_equals_artin_half_twist_squared():
             for i in range(1, n):
                 word += [(st.atom(k + 1, k), 1) for k in range(i, 0, -1)]
         assert left_normal_form(st, word) == delta_power(st, n)
+
+
+def test_suffix_order_is_refinement():
+    for n in (2, 3, 4, 5, 6):
+        st = bkl_structure(n)
+        simples = st.simples()
+        for a in simples:
+            for b in simples:
+                assert st.suffix_leq(a, b) == st.leq(a, b)
+
+
+def test_join_matches_merge_and_uncross_oracle():
+    for n in (2, 3, 4, 5, 6):
+        st = bkl_structure(n)
+        simples = st.simples()
+        for a in simples:
+            for b in simples:
+                assert st.join_simple(a, b) == merge_and_uncross_join(a, b)
+
+
+def test_from_perm_checks_survive_filled_caches(capsys):
+    assert main(["--structure", "bkl", "--n", "6", "table"]) == 0
+    capsys.readouterr()
+    st = bkl_structure(6)
+    crossing = (3, 4, 1, 2, 5, 6)  # cycles (1 3)(2 4)
+    decreasing = (3, 1, 2, 4, 5, 6)  # cycle 1 -> 3 -> 2 -> 1
+    for perm in (crossing, decreasing):
+        with pytest.raises(VerificationError):
+            st.from_perm(perm)
+        assert perm not in st._from_perm_cache
+    for cache in (st._perm_cache, st._perm_inv_cache, st._from_perm_cache):
+        assert 0 < len(cache) <= st.simple_count()

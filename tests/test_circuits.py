@@ -424,5 +424,5 @@ def test_budget_exhaustion_is_loud():
 def test_conjugator_search_rejects_non_members():
     st = artin_structure(4)
     member = _SCMembership(0, 1, Budgets())
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         indecomposable_conjugators(el(st, [1, 2, 3]), member)

@@ -12,7 +12,6 @@ from garside.core import (
     conjugate,
     conjugate_simple,
     delta_power,
-    from_reverse,
     from_simple,
     identity_element,
     inverse,
@@ -20,8 +19,8 @@ from garside.core import (
     meet,
     multiply,
     prefix_leq,
+    reverse_rewrite,
     suffix_geq,
-    to_reverse,
 )
 from garside.sliding import (
     TrajectoryCapExceeded,
@@ -241,11 +240,11 @@ def test_right_sliding_via_reverse_structure(rng):
         rev = ReverseStructure(base)
         for _ in range(260):
             x = random_element(base, rng, length=rng.randint(0, 6))
-            rx = to_reverse(x, rev)
+            rx = reverse_rewrite(x, rev)
             # s*(x) = s<-(x)
-            assert from_reverse(cyclic_sliding(rx), base) == cyclic_right_sliding(x)
+            assert reverse_rewrite(cyclic_sliding(rx), base) == cyclic_right_sliding(x)
             # p*(x) = p<-(x)^-1
-            p_star = from_reverse(
+            p_star = reverse_rewrite(
                 from_simple(rev, preferred_prefix(rx)), base
             )
             assert p_star == inverse(from_simple(base, preferred_suffix(x)))
@@ -366,8 +365,8 @@ def test_right_transport_mirrors_left(rng):
             # the left conjugator a relates x^(a^-1) to x, so the reverse
             # structure transport is anchored at x^(a^-1)
             y = conjugate(x, inverse(a))
-            via_rev = from_reverse(
-                transport(to_reverse(a, rev), to_reverse(y, rev)), base
+            via_rev = reverse_rewrite(
+                transport(reverse_rewrite(a, rev), reverse_rewrite(y, rev)), base
             )
             assert native == via_rev
 

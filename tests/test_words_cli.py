@@ -245,6 +245,39 @@ def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
     assert "internal check failed" in err
 
 
+def test_cli_sigma_index_out_of_range_is_input_error(capsys):
+    code, out, err = run_cli(capsys, ["--n", "4", "nf", "s9"])
+    assert code == 2
+    assert out == ""
+    assert "token 1" in err
+
+
+def test_cli_dual_simple_fault_exit_code(capsys, monkeypatch):
+    import garside.bkl
+
+    # every composed permutation becomes the crossing (1 3)(2 4); the word
+    # below is one simple, so its normal form takes a product whatever the
+    # caches hold
+    monkeypatch.setattr(garside.bkl, "_compose", lambda a, b: (3, 4, 1, 2))
+    code, out, err = run_cli(capsys, ["--structure", "bkl", "nf", "a(3,2) a(2,1)"])
+    assert code == 4
+    assert out == ""
+    assert "crossing partition" in err
+
+
+def test_cli_unexpected_error_exit_code(capsys, monkeypatch):
+    import garside.cli
+
+    def broken_solver(x, y, budgets):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(garside.cli, "solve_csp", broken_solver)
+    code, out, err = run_cli(capsys, ["conj", "s1 s2", "s2 s1"])
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1 and "internal error: KeyError" in err
+
+
 def test_cli_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "1", "nf", "s1"])
