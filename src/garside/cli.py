@@ -119,7 +119,16 @@ _DEFAULTS = {
 def _structure(args):
     if args.n < 2:
         raise WordError("need at least 2 strands", 0)
-    return artin_structure(args.n) if args.structure == "artin" else bkl_structure(args.n)
+    # the constructors build n-1 atoms (classical) or n(n-1)/2 atoms (dual)
+    # of n entries each; bound that before allocating it
+    n = args.n
+    entries = (n - 1) * n if args.structure == "artin" else n * n * (n - 1) // 2
+    if entries > args.max_set_size:
+        raise BudgetExceeded(
+            f"the {args.structure} atom table for --n {n} has {entries} entries, "
+            f"over --max-set-size {args.max_set_size}"
+        )
+    return artin_structure(n) if args.structure == "artin" else bkl_structure(n)
 
 
 def _budgets(args) -> Budgets:

@@ -345,27 +345,73 @@ def from_simple(st: GarsideStructure, s) -> GarsideElement:
     return _element(st, 0, (s,))
 
 
-def left_normal_form(st: GarsideStructure, word: Iterable) -> GarsideElement:
-    """Normal form of a word of (simple, exponent) letters, exponent +-1.
+def _letter_runs(st: GarsideStructure, word: Iterable):
+    """Fold consecutive letters of one sign into simples.
 
-    An inverse letter is rewritten through the complement:
-    s^-1 = Delta^-1 partial^-1(s).
+    Yields (r, e): the run r^e with e = +-1, where a run grows while the
+    product stays simple.  A positive run r takes s when s <= partial(r)
+    (r s is then simple); a negative run r, standing for r^-1, takes s^-1
+    when r <= partial(s) (s r is then simple).  A Delta letter ends the
+    run and is yielded as it is, (Delta, k).
     """
-    p = 0
-    fs: list = []
+    run, sign = None, 0
     for s, e in word:
-        if e == 1:
-            dp, c = 0, s
-        elif e == -1:
-            dp, c = -1, st.complement_inv(s)
+        delta = st.is_delta(s)
+        if e == sign and not delta:
+            if e == 1:
+                if st.leq(s, st.complement(run)):
+                    run = st.prod(run, s)
+                    continue
+            elif st.leq(run, st.complement(s)):
+                run = st.prod(s, run)
+                continue
+        if sign:
+            yield run, sign
+        if delta:
+            yield s, e
+            run, sign = None, 0
+        elif e == 1 or e == -1:
+            run, sign = s, e
         else:
             raise ValueError(f"letter exponent must be +-1, got {e}")
-        if dp:
-            # X Delta^dp = Delta^dp tau^dp(X)
-            p += dp
-            fs = [st.tau_pow(f, dp) for f in fs]
-        p += _push_factor(st, fs, c)
-    return _element(st, p, fs)
+    if sign:
+        yield run, sign
+
+
+def left_normal_form(st: GarsideStructure, word: Iterable) -> GarsideElement:
+    """Normal form of a word of (simple, exponent) letters.
+
+    Every exponent is +-1, except on the Delta letter, which may take any
+    integer exponent k: Delta^k costs O(1) whatever k is.  Any other letter
+    with an exponent other than +-1 raises ValueError.
+
+    Consecutive letters of one sign are first multiplied into one simple
+    while the product stays simple (:func:`_letter_runs`), and each run is
+    pushed with one right-to-left wave of local slidings
+    (:func:`_push_factor`).  A negative run r^-1 is pushed as
+    Delta^-1 partial^-1(r).
+
+    Moving Delta^k to the front twists the factors behind it by tau^k
+    (X Delta^k = Delta^k tau^k(X)).  The factors are not rebuilt for that:
+    a twist count m is kept such that the factors of the element are
+    tau^-m of the stored ones.  A positive run r is stored as tau^m(r); a
+    negative run does p -= 1 and m += 1, then stores tau^m(partial^-1(r));
+    a Delta^k letter (or a run equal to Delta) does p += k and m -= k.
+    tau^-m is applied once to each factor at the end.
+    """
+    p = m = 0
+    fs: list = []
+    for r, e in _letter_runs(st, word):
+        if st.is_delta(r):
+            p += e
+            m -= e
+            continue
+        if e == -1:
+            p -= 1
+            m += 1
+            r = st.complement_inv(r)
+        p += _push_factor(st, fs, st.tau_pow(r, m))
+    return _element(st, p, [st.tau_pow(f, -m) for f in fs])
 
 
 def multiply(x: GarsideElement, y: GarsideElement) -> GarsideElement:
@@ -502,6 +548,6 @@ def reverse_rewrite(x: GarsideElement, target: GarsideStructure) -> GarsideEleme
     if not (isinstance(target, ReverseStructure) and target.base is st
             or isinstance(st, ReverseStructure) and st.base is target):
         raise ValueError("the structures are not reverses of one another")
-    sign = -1 if x.p >= 0 else 1
-    word = [(target.delta, sign)] * abs(x.p) + [(f, -1) for f in x.factors]
+    # Delta^p over st is (target's Delta)^-p
+    word = [(target.delta, -x.p)] + [(f, -1) for f in x.factors]
     return left_normal_form(target, word)

@@ -51,8 +51,8 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
         return []
     m = _DELTA.match(tok)
     if m:
-        k = int(m.group(1)) if m.group(1) else 1
-        return [(st.delta, 1 if k > 0 else -1)] * abs(k)
+        # one letter whatever k is; left_normal_form folds Delta^k in O(1)
+        return [(st.delta, int(m.group(1)) if m.group(1) else 1)]
     m = _SIGMA.match(tok)
     if m:
         k, e = int(m.group(1)), -1 if m.group(2) else 1

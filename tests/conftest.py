@@ -4,7 +4,14 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
-from garside.core import conjugate_simple, from_simple, left_normal_form, multiply
+from garside.core import (
+    _element,
+    _push_factor,
+    conjugate_simple,
+    from_simple,
+    left_normal_form,
+    multiply,
+)
 from garside.sliding import slide_to_circuit
 
 
@@ -48,6 +55,30 @@ def structures_for_properties():
     return [artin_structure(n) for n in (3, 4, 5)] + [
         bkl_structure(n) for n in (3, 4, 5, 6)
     ]
+
+
+def letterwise_normal_form(st, word):
+    """Normal-form oracle: push one letter at a time, exponent +-1 only.
+
+    An inverse letter is rewritten through the complement,
+    s^-1 = Delta^-1 partial^-1(s), and the factors already pushed are
+    rebuilt by tau^-1 at once.
+    """
+    p = 0
+    fs: list = []
+    for s, e in word:
+        if e == 1:
+            dp, c = 0, s
+        elif e == -1:
+            dp, c = -1, st.complement_inv(s)
+        else:
+            raise ValueError(f"letter exponent must be +-1, got {e}")
+        if dp:
+            # X Delta^dp = Delta^dp tau^dp(X)
+            p += dp
+            fs = [st.tau_pow(f, dp) for f in fs]
+        p += _push_factor(st, fs, c)
+    return _element(st, p, fs)
 
 
 def sss_with_witnesses(x):

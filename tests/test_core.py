@@ -3,6 +3,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
 from garside.core import (
@@ -26,7 +28,14 @@ from garside.core import (
     suffix_geq,
 )
 
-from conftest import random_element, random_word, structures_for_properties
+from garside.words import band_to_sigma_word
+
+from conftest import (
+    letterwise_normal_form,
+    random_element,
+    random_word,
+    structures_for_properties,
+)
 
 
 def atoms_word(st, ks):
@@ -117,6 +126,72 @@ def test_normal_form_uniqueness_across_factorizations(rng):
             s = rng.choice(st.simples())
             padded = word[:k] + [(s, 1), (s, -1)] + word[k:]
             assert left_normal_form(st, padded) == x
+
+
+def _oracle_words(st, rng):
+    """Words that exercise the letter runs of left_normal_form: long
+    same-sign runs, alternating signs, Delta^k letters, trivial and Delta
+    letters inside runs, and (classical only) expanded band letters."""
+    def letter(sign):
+        return rng.choice(st.atoms), sign
+
+    runs = []
+    for _ in range(8):
+        sign = rng.choice([1, -1])
+        runs += [letter(sign) for _ in range(rng.randint(1, 12))]
+    yield runs
+    yield [letter(1 - 2 * (i % 2)) for i in range(40)]
+    with_delta = [letter(rng.choice([1, -1])) for _ in range(30)]
+    for k in range(-3, 4):
+        with_delta.insert(rng.randint(0, len(with_delta)), (st.delta, k))
+    yield with_delta
+    inside = []
+    for _ in range(6):
+        sign = rng.choice([1, -1])
+        run = [letter(sign) for _ in range(rng.randint(2, 8))]
+        run.insert(rng.randint(0, len(run)), (st.trivial, 1))
+        run.insert(rng.randint(0, len(run)), (st.delta, 1))
+        inside += run
+    yield inside
+    if hasattr(st, "simple_to_word"):  # classical: band letters as sigma words
+        bands = []
+        for _ in range(10):
+            s = rng.randint(1, st.n - 1)
+            t = rng.randint(s + 1, st.n)
+            word = [(st.atom(k), e) for k, e in band_to_sigma_word(t, s)]
+            if rng.random() < 0.5:
+                word = [(a, -e) for a, e in reversed(word)]
+            bands += word + [letter(rng.choice([1, -1]))]
+        yield bands
+
+
+def _unit_delta_letters(st, word):
+    """The same word with every Delta^k letter spelled as |k| letters."""
+    out = []
+    for s, e in word:
+        if st.is_delta(s):
+            out += [(s, 1 if e > 0 else -1)] * abs(e)
+        else:
+            out.append((s, e))
+    return out
+
+
+def test_left_normal_form_matches_letterwise_oracle():
+    rng = random.Random(20261018)
+    for n in range(3, 9):
+        for st in (artin_structure(n), bkl_structure(n)):
+            for word in _oracle_words(st, rng):
+                x = left_normal_form(st, word)
+                assert x == letterwise_normal_form(st, _unit_delta_letters(st, word))
+                assert_normal(x)
+
+
+def test_left_normal_form_rejects_non_unit_exponents():
+    st = artin_structure(4)
+    for e in (0, 2, -2):
+        with pytest.raises(ValueError):
+            left_normal_form(st, [(st.atom(1), 1), (st.atom(2), e)])
+    assert left_normal_form(st, [(st.delta, 2)]) == delta_power(st, 2)
 
 
 def test_inverse_closed_formula(rng):

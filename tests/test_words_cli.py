@@ -1,6 +1,7 @@
 """Word grammar and the command-line frontend."""
 
 import json
+import time
 
 import pytest
 
@@ -43,6 +44,17 @@ def test_parse_delta():
         assert parse_word(st, "D") == delta_power(st, 1)
         assert parse_word(st, "D^-1") == delta_power(st, -1)
         assert parse_word(st, "D D^-1") == identity_element(st)
+
+
+def test_parse_huge_delta_power_is_one_letter():
+    for st in [artin_structure(4), bkl_structure(4)]:
+        want = multiply(multiply(parse_word(st, "s1"), delta_power(st, 10**9)),
+                        parse_word(st, "s2"))
+        start = time.perf_counter()
+        got = parse_word(st, "s1 D^1000000000 s2")
+        assert time.perf_counter() - start < 1.0
+        assert got == want
+        assert parse_word(st, "D^-3 D^0 D^5") == delta_power(st, 2)
 
 
 def test_parse_band_letters_dual():
@@ -232,6 +244,25 @@ def test_cli_refuses_too_many_simples_before_enumerating(capsys, monkeypatch):
     assert "simple elements" in err
     code, _, _ = run_cli(capsys, ["--n", "11", "table"])
     assert code == 3
+
+
+def test_cli_refuses_huge_n_before_building_the_structure(capsys, monkeypatch):
+    import garside.cli
+
+    def build(n):
+        raise AssertionError("structure built")
+
+    monkeypatch.setattr(garside.cli, "artin_structure", build)
+    monkeypatch.setattr(garside.cli, "bkl_structure", build)
+    # atom tables of (n-1) n and n^2 (n-1) / 2 entries against the default
+    # --max-set-size of 10^6
+    for argv in (["--n", "1001", "nf", "1"],
+                 ["--structure", "bkl", "--n", "127", "nf", "1"],
+                 ["--structure", "bkl", "--n", "3000", "nf", "1"],
+                 ["--n", "11", "--max-set-size", "100", "nf", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == ""
+        assert "atom table" in err
 
 
 def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
