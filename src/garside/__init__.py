@@ -18,7 +18,6 @@ from .core import (
     inverse,
     join,
     left_normal_form,
-    local_sliding,
     meet,
     multiply,
     power,
@@ -46,7 +45,6 @@ __all__ = [
     "inverse",
     "join",
     "left_normal_form",
-    "local_sliding",
     "meet",
     "multiply",
     "power",

@@ -13,13 +13,21 @@ The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
 a least fixpoint of lattice operations on simples (Franco and
 Gonzalez-Meneses), so the set is enumerated with one conjugation per atom
-and vertex.  Arrows of the sliding circuits graph are still found by a
-scan over all simple elements, refined per atom through the gcd-closure;
-its only correctness-critical part is the membership test.
+and vertex.
+
+Arrows of the sliding circuits graph come from both facts.  The minimal
+conjugator c_a above an atom a lies above rho_a, since sliding circuits are
+super summit, and it is the first success above a in increasing length, by
+the gcd-closure.  So the simples are scanned once in length order, skipping
+those whose atoms all have their c_a and those not above rho_b (or c_b,
+once found) for some atom b below them, and the scan stops once every atom
+has its c_a.  The scan still grows with the number of simples; the paper's
+transport and pullback along the circuit would replace it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .core import (
@@ -97,37 +105,44 @@ class _SCMembership:
 
 def indecomposable_conjugators(y: GarsideElement, member) -> list:
     """Minimal nontrivial simple conjugators keeping y inside the set
-    recognized by `member`.
+    recognized by `member`, which must be a part of the super summit set of
+    y whose conjugators are closed under meets (the sliding circuits are).
 
-    Baseline: scan all simples s with member(y^s); by gcd-closure the
-    minimal candidates above each atom are meets of successes, and the
-    result is the set of those that are minimal overall.
+    By meet-closure each atom a has a unique minimal success c_a above it,
+    and every success above a lies above c_a, so c_a is the first success
+    above a in increasing norm.  Since the set lies in the super summit set,
+    c_a also lies above rho_a(y), the least simple above a keeping y there.
+    The simples are scanned in norm order, skipping a simple s when every
+    atom below s already has its c_a, or when some atom b <= s has its
+    lower bound (c_b once found, rho_b before) not <= s; the scan stops
+    once every atom has its c_a.  The result is the set of those c_a that
+    are minimal overall, in the canonical order.
     """
     st = y.structure
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
-    per_atom: dict = {}
-    for a in st.atoms:
-        per_atom[a] = None
-    for s in st.simples():
-        if st.is_trivial(s):
+    leq = st.leq
+    y_inv = inverse(y)
+    # low[i] is rho_i while bit i of todo is set, and c_i after
+    low = [_summit_conjugator(y, y_inv, a) for a in st.atoms]
+    todo = (1 << len(low)) - 1
+    for s, mask, below in st.simples_by_norm():
+        open_ = mask & todo
+        if not open_ or not all(leq(low[i], s) for i in below):
             continue
-        if not member(conjugate_simple(y, s)):
-            continue
-        for a in st.atoms:
-            if st.leq(a, s):
-                cur = per_atom[a]
-                per_atom[a] = s if cur is None else st.meet_simple(cur, s)
+        if member(conjugate_simple(y, s)):
+            for i in below:
+                if open_ >> i & 1:
+                    low[i] = s
+            todo &= ~open_
+            if not todo:
+                break
+    found = [c for i, c in enumerate(low) if not todo >> i & 1]
     out = []
-    for a in st.atoms:
-        c = per_atom[a]
-        if c is None:
-            continue
-        # c is minimal among successes above atom a; keep it only if no
+    for c in found:
+        # c is minimal among successes above its atom; keep it only if no
         # success sits strictly below it (i.e. it is minimal overall)
-        if all(
-            c2 is None or c2 == c or not st.leq(c2, c) for c2 in per_atom.values()
-        ) and c not in out:
+        if all(c2 == c or not leq(c2, c) for c2 in found) and c not in out:
             out.append(c)
     out.sort(key=st.sort_key)
     return out
@@ -160,11 +175,11 @@ def compute_scg(x: GarsideElement, budgets: Budgets | None = None) -> SlidingCir
     graph = SlidingCircuitsGraph(base=x)
     graph.vertices.append(rep)
     graph.witness_to_base[rep] = witness
-    frontier = [rep]
+    # sort keys are unique per element, so the heap never compares elements
+    frontier = [(rep.sort_key(), rep)]
     known = {rep}
     while frontier:
-        frontier.sort(key=lambda v: v.sort_key())
-        y = frontier.pop(0)
+        _, y = heapq.heappop(frontier)
         for s in indecomposable_conjugators(y, member):
             target = conjugate_simple(y, s)
             graph.arrows.append((y, s, target))
@@ -178,7 +193,7 @@ def compute_scg(x: GarsideElement, budgets: Budgets | None = None) -> SlidingCir
                 graph.witness_to_base[target] = multiply(
                     graph.witness_to_base[y], from_simple(y.structure, s)
                 )
-                frontier.append(target)
+                heapq.heappush(frontier, (target.sort_key(), target))
     graph.vertices.sort(key=lambda v: v.sort_key())
     for v, w in graph.witness_to_base.items():
         if conjugate(x, w) != v:

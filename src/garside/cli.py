@@ -33,7 +33,7 @@ from .sliding import (
     TrajectoryCapExceeded,
     cyclic_sliding,
     is_rigid,
-    prefix_product,
+    prefix_products,
     sliding_trajectory,
 )
 from .words import WordError, element_to_json, parse_word, render_element, render_simple
@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slide", parents=[common], help="iterated cyclic sliding")
     p.add_argument("word")
-    p.add_argument("-k", type=int, default=1, help="number of slidings")
+    p.add_argument("-k", type=int, default=1,
+                   help="number of slidings (at most --max-trajectory)")
 
     p = sub.add_parser("traj", parents=[common],
                        help="full sliding trajectory with prefixes")
@@ -102,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rigid", parents=[common],
                        help="rigidity verdict and prefix products")
     p.add_argument("word")
-    p.add_argument("-k", type=int, default=10, help="longest prefix product shown")
+    p.add_argument("-k", type=int, default=10,
+                   help="longest prefix product shown (at most --max-trajectory)")
 
     return parser
 
@@ -137,6 +139,18 @@ def _budgets(args) -> Budgets:
         max_set_size=args.max_set_size,
         max_trajectory_states=args.max_trajectory,
     )
+
+
+def _slidings(args) -> int:
+    """The -k of slide and rigid: k slidings, refused past the trajectory
+    budget before any is done."""
+    if args.k < 0:
+        raise WordError(f"-k must be non-negative, got {args.k}", 0)
+    if args.k > args.max_trajectory:
+        raise BudgetExceeded(
+            f"-k {args.k} slidings exceed --max-trajectory {args.max_trajectory}"
+        )
+    return args.k
 
 
 def _emit_element(x, args) -> str:
@@ -177,7 +191,8 @@ def _dispatch(args) -> int:
 
     if args.command == "slide":
         x = parse_word(st, args.word)
-        for _ in range(args.k):
+        k = _slidings(args)
+        for _ in range(k):
             x = cyclic_sliding(x)
         print(_emit_element(x, args))
         return EXIT_OK
@@ -258,8 +273,9 @@ def _dispatch(args) -> int:
 
     if args.command == "rigid":
         x = parse_word(st, args.word)
+        k = _slidings(args)
         verdict = is_rigid(x)
-        chain = [prefix_product(x, i) for i in range(args.k + 1)]
+        chain = prefix_products(x, k)
         if args.format == "json":
             print(json.dumps({"rigid": verdict,
                               "prefix_products": [element_to_json(c) for c in chain]}))

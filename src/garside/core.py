@@ -49,6 +49,7 @@ class GarsideStructure:
         self._tau_cache: dict = {}
         self._tau_inv_cache: dict = {}
         self._norm_cache: dict = {}
+        self._by_norm: list | None = None
 
     # -- primitives a subclass must implement ------------------------------
 
@@ -101,6 +102,20 @@ class GarsideStructure:
     def sort_key(self, s):
         """Key realizing the canonical total order on simples."""
         return s
+
+    def simples_by_norm(self) -> list:
+        """The nontrivial simples in increasing norm, ties in the canonical
+        order, each with the atoms below it: (s, mask, indices), where
+        indices lists the i with atoms[i] <= s and mask has those bits set.
+        Built on first use."""
+        if self._by_norm is None:
+            out = []
+            for s in sorted(self.simples(), key=self.norm):
+                below = tuple(i for i, a in enumerate(self.atoms) if self.leq(a, s))
+                if below:
+                    out.append((s, sum(1 << i for i in below), below))
+            self._by_norm = out
+        return self._by_norm
 
     # -- cached unary operations -------------------------------------------
 
@@ -280,17 +295,6 @@ class GarsideElement:
 
     def __repr__(self) -> str:
         return f"<{self.structure.name}: p={self.p} factors={list(self.factors)}>"
-
-
-def local_sliding(st: GarsideStructure, a, b):
-    """Make the pair (a, b) left weighted, preserving the product.
-
-    The slid element is s = partial(a) /\\ b; returns (a s, s^-1 b).
-    """
-    s = st.meet_simple(st.complement(a), b)
-    if st.is_trivial(s):
-        return a, b
-    return st.prod(a, s), st.lquot(s, b)
 
 
 def _push_factor(st: GarsideStructure, fs: list, c) -> int:

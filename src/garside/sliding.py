@@ -201,6 +201,17 @@ def prefix_product(x: GarsideElement, i: int) -> GarsideElement:
     return out
 
 
+def prefix_products(x: GarsideElement, k: int) -> list:
+    """[P_0(x), ..., P_k(x)] by one walk of k slidings from x."""
+    st = x.structure
+    out = [identity_element(st)]
+    for _ in range(k):
+        s = preferred_prefix(x)
+        out.append(multiply(out[-1], from_simple(st, s)))
+        x = conjugate_simple(x, s)
+    return out
+
+
 def slide_to_circuit(x: GarsideElement, max_states: int = 10**6):
     """Iterate sliding into the periodic part.
 

@@ -5,6 +5,7 @@ import pytest
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
 from garside.core import (
+    VerificationError,
     _element,
     _push_factor,
     conjugate_simple,
@@ -98,6 +99,44 @@ def sss_with_witnesses(x):
                     and z not in out:
                 out[z] = multiply(out[y], from_simple(st, s))
                 frontier.append(z)
+    return out
+
+
+def scan_indecomposable_conjugators(y, member):
+    """Arrow oracle: minimal nontrivial simple conjugators keeping y inside
+    the set recognized by `member`, by a scan over all simples.
+
+    Scan all simples s with member(y^s); by gcd-closure the minimal
+    candidates above each atom are meets of successes, and the result is
+    the set of those that are minimal overall.
+    """
+    st = y.structure
+    if not member(y):
+        raise VerificationError("element is not in the set; conjugator search undefined")
+    per_atom: dict = {}
+    for a in st.atoms:
+        per_atom[a] = None
+    for s in st.simples():
+        if st.is_trivial(s):
+            continue
+        if not member(conjugate_simple(y, s)):
+            continue
+        for a in st.atoms:
+            if st.leq(a, s):
+                cur = per_atom[a]
+                per_atom[a] = s if cur is None else st.meet_simple(cur, s)
+    out = []
+    for a in st.atoms:
+        c = per_atom[a]
+        if c is None:
+            continue
+        # c is minimal among successes above atom a; keep it only if no
+        # success sits strictly below it (i.e. it is minimal overall)
+        if all(
+            c2 is None or c2 == c or not st.leq(c2, c) for c2 in per_atom.values()
+        ) and c not in out:
+            out.append(c)
+    out.sort(key=st.sort_key)
     return out
 
 

@@ -47,7 +47,11 @@ from garside.sliding import (
     slide_to_circuit,
 )
 
-from conftest import random_element, sss_with_witnesses
+from conftest import (
+    random_element,
+    scan_indecomposable_conjugators,
+    sss_with_witnesses,
+)
 
 
 def el(st, ks):
@@ -207,6 +211,46 @@ def test_indecomposable_conjugators_against_brute_force():
                 for t in got:
                     if s != t:
                         assert st.is_trivial(st.meet_simple(s, t))
+
+
+def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
+    """The pruned scan in norm order against the full scan over simples, on
+    every vertex of the sliding circuits graphs of fixed-seed random classes
+    and of the n-cycle seeds.  Every simple the pruned scan conjugates by is
+    above rho_b for each atom b below it."""
+    import garside.circuits
+
+    rng = random.Random(20261018)
+    classes = []
+    for st, letters, samples in [(artin_structure(5), 16, 4),
+                                 (bkl_structure(4), 12, 6),
+                                 (bkl_structure(5), 12, 4)]:
+        classes += [random_element(st, rng, length=letters) for _ in range(samples)]
+    classes += [delta_seed(artin_structure(n)) for n in (4, 5, 6, 7)]
+    scanned = []
+
+    def recorded(y, s):
+        scanned.append(s)
+        return conjugate_simple(y, s)
+
+    vertices = 0
+    for x in classes:
+        st = x.structure
+        graph = compute_scg(x)
+        rep = graph.vertices[0]
+        member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
+        for y in graph.vertices:
+            scanned.clear()
+            with monkeypatch.context() as m:
+                m.setattr(garside.circuits, "conjugate_simple", recorded)
+                got = indecomposable_conjugators(y, member)
+            assert got == scan_indecomposable_conjugators(y, member)
+            y_inv = inverse(y)
+            rhos = {a: _summit_conjugator(y, y_inv, a) for a in st.atoms}
+            for s in scanned:
+                assert all(st.leq(rhos[a], s) for a in st.atoms if st.leq(a, s))
+        vertices += len(graph.vertices)
+    assert vertices >= 100
 
 
 def test_arrows_stay_inside_sc_b4():

@@ -10,6 +10,7 @@ from garside.bkl import bkl_structure
 from garside.core import (
     GarsideStructure,
     ReverseStructure,
+    _push_factor,
     conjugate_simple,
     delta_power,
     from_simple,
@@ -17,7 +18,6 @@ from garside.core import (
     inverse,
     join,
     left_normal_form,
-    local_sliding,
     meet,
     multiply,
     power,
@@ -53,6 +53,15 @@ def assert_normal(x):
         assert not st.is_trivial(f) and not st.is_delta(f)
     for a, b in zip(x.factors, x.factors[1:]):
         assert st.is_trivial(st.meet_simple(st.complement(a), b))
+
+
+def local_sliding(st, a, b):
+    """The pair (a, b) after the local sliding of one _push_factor step:
+    b pushed onto the one-factor list [a], padded back to two factors."""
+    fs = [a]
+    d = _push_factor(st, fs, b)
+    assert d == 0
+    return tuple(fs) + (st.trivial,) * (2 - len(fs))
 
 
 def test_local_sliding_b3():

@@ -39,6 +39,7 @@ from garside.sliding import (
     preferred_prefix,
     preferred_suffix,
     prefix_product,
+    prefix_products,
     right_transport,
     slide_to_circuit,
     sliding_trajectory,
@@ -540,3 +541,25 @@ def test_prefix_products_conjugate_along_trajectory(rng):
             for i in range(4):
                 assert conjugate(x, prefix_product(x, i)) == y
                 y = cyclic_sliding(y)
+
+
+def test_prefix_products_are_one_walk(rng, monkeypatch):
+    """The chain P_0..P_k equals the products taken one by one, and costs
+    k preferred prefixes, not k^2 / 2."""
+    import garside.sliding
+
+    calls = []
+    original = garside.sliding.preferred_prefix
+
+    def counted(z):
+        calls.append(z)
+        return original(z)
+
+    monkeypatch.setattr(garside.sliding, "preferred_prefix", counted)
+    for st in [artin_structure(5), bkl_structure(5)]:
+        for k in range(13):
+            x = random_element(st, rng, length=12)
+            want = [prefix_product(x, i) for i in range(k + 1)]
+            calls.clear()
+            assert prefix_products(x, k) == want
+            assert len(calls) == k

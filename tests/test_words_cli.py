@@ -344,6 +344,22 @@ def test_cli_rigid(capsys):
     assert len(lines) == 5
 
 
+def test_cli_slidings_are_bounded(capsys):
+    """-k of slide and rigid is refused when negative (bad input) or past
+    --max-trajectory (budget), before any sliding is done."""
+    for command in ("slide", "rigid"):
+        code, out, err = run_cli(capsys, [command, "s3 s2 s1", "-k", "-1"])
+        assert code == 2 and out == ""
+        assert "-k" in err
+        code, out, err = run_cli(
+            capsys, [command, "s3 s2 s1", "-k", "11", "--max-trajectory", "10"])
+        assert code == 3 and out == ""
+        assert "budget" in err.lower()
+        code, _, _ = run_cli(
+            capsys, [command, "s3 s2 s1", "-k", "10", "--max-trajectory", "10"])
+        assert code == 0
+
+
 def test_cli_deterministic_output(capsys):
     for argv in (["sc", "s1 s2 s3"], ["scg", "s1 s2 s3"],
                  ["table", "--n", "4"]):
