@@ -5,9 +5,13 @@ SC(x), the set of sliding-circuit conjugates of x, is closed under
 conjugation by gcds: whenever two positive elements both conjugate a
 vertex back into the set, so does their meet.  Consequently the minimal
 nontrivial conjugators at a vertex are simple, there are at most as many
-of them as atoms, and the graph they span is finite and connected.  The
-solver slides both inputs onto circuits, builds the graph of one, and
-looks for the other.
+of them as atoms, and the graph they span is finite and connected.
+
+The solver slides both inputs onto circuits.  A circuit element is super
+summit, so its inf and canonical length are the summit invariants of its
+class; when those differ the answer is NO and no graph is built.
+Otherwise the graph of x is walked, by `compute_scg` with a target, until
+the representative of y turns up; only a NO needs the whole graph.
 
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
@@ -37,11 +41,10 @@ from .core import (
     conjugate,
     conjugate_simple,
     from_simple,
-    identity_element,
     inverse,
     multiply,
 )
-from .sliding import in_sc, slide_to_circuit, sliding_trajectory
+from .sliding import slide_to_circuit, sliding_trajectory
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,7 +62,6 @@ class Budgets:
     max_vertices: int = 100_000
     max_set_size: int = 1_000_000
     max_trajectory_states: int = 1_000_000
-    max_conjugator_norm: int = 20
 
 
 def check_simples_budget(st: GarsideStructure, budgets: Budgets) -> None:
@@ -162,15 +164,32 @@ class SlidingCircuitsGraph:
         return frozenset(self.vertices)
 
 
-def compute_scg(x: GarsideElement, budgets: Budgets | None = None) -> SlidingCircuitsGraph:
-    """Build the full sliding circuits graph of the class of x.
+def compute_scg(
+    x: GarsideElement,
+    budgets: Budgets | None = None,
+    target: GarsideElement | None = None,
+    start: tuple | None = None,
+) -> SlidingCircuitsGraph:
+    """Build the sliding circuits graph of the class of x.
 
     Seeds with the circuit representative of x, then closes under
     indecomposable conjugators, composing witnesses along the way.
+    `start` is (representative, conjugator from x to it) when the caller
+    has already slid x.
+
+    With a `target`, the walk stops popping the frontier once target is a
+    known vertex, and the graph returned is the part built so far: the
+    vertex popped last keeps all its arrows.  Vertices are popped in the
+    same order either way and a witness is set when its vertex is first
+    found, so every witness equals the one of the full graph.  Without a
+    target, or when target is not in the graph, the graph is whole.
     """
     budgets = budgets or Budgets()
     check_simples_budget(x.structure, budgets)
-    rep, witness, traj = slide_to_circuit(x, budgets.max_trajectory_states)
+    if start is None:
+        rep, witness, _ = slide_to_circuit(x, budgets.max_trajectory_states)
+    else:
+        rep, witness = start
     member = _SCMembership(rep.inf, rep.canonical_length, budgets)
     graph = SlidingCircuitsGraph(base=x)
     graph.vertices.append(rep)
@@ -178,22 +197,22 @@ def compute_scg(x: GarsideElement, budgets: Budgets | None = None) -> SlidingCir
     # sort keys are unique per element, so the heap never compares elements
     frontier = [(rep.sort_key(), rep)]
     known = {rep}
-    while frontier:
+    while frontier and target not in known:
         _, y = heapq.heappop(frontier)
         for s in indecomposable_conjugators(y, member):
-            target = conjugate_simple(y, s)
-            graph.arrows.append((y, s, target))
-            if target not in known:
+            z = conjugate_simple(y, s)
+            graph.arrows.append((y, s, z))
+            if z not in known:
                 if len(known) >= budgets.max_vertices:
                     raise BudgetExceeded(
                         f"sliding circuits graph exceeded {budgets.max_vertices} vertices"
                     )
-                known.add(target)
-                graph.vertices.append(target)
-                graph.witness_to_base[target] = multiply(
+                known.add(z)
+                graph.vertices.append(z)
+                graph.witness_to_base[z] = multiply(
                     graph.witness_to_base[y], from_simple(y.structure, s)
                 )
-                heapq.heappush(frontier, (target.sort_key(), target))
+                heapq.heappush(frontier, (z.sort_key(), z))
     graph.vertices.sort(key=lambda v: v.sort_key())
     for v, w in graph.witness_to_base.items():
         if conjugate(x, w) != v:
@@ -216,20 +235,24 @@ class ConjugatorWitness:
             raise VerificationError("witness does not conjugate source to target")
 
 
-def solve_cdp(x: GarsideElement, y: GarsideElement, budgets: Budgets | None = None) -> bool:
-    """Conjugacy decision: do x and y lie in the same conjugacy class?"""
-    return solve_csp(x, y, budgets) is not None
-
-
 def solve_csp(
     x: GarsideElement, y: GarsideElement, budgets: Budgets | None = None
 ) -> ConjugatorWitness | None:
-    """Conjugacy search: a verified witness c with x^c = y, or None."""
+    """Conjugacy search: a verified witness c with x^c = y, or None.
+
+    Different summit invariants answer None before any graph is built;
+    otherwise the graph of x is walked until it reaches the circuit
+    representative of y, and None needs the whole graph under the vertex
+    budget.
+    """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
     budgets = budgets or Budgets()
     rep_y, wit_y, _ = slide_to_circuit(y, budgets.max_trajectory_states)
-    graph = compute_scg(x, budgets)
+    rep_x, wit_x, _ = slide_to_circuit(x, budgets.max_trajectory_states)
+    if (rep_x.inf, rep_x.canonical_length) != (rep_y.inf, rep_y.canonical_length):
+        return None
+    graph = compute_scg(x, budgets, target=rep_y, start=(rep_x, wit_x))
     if rep_y not in graph.witness_to_base:
         return None
     c = multiply(graph.witness_to_base[rep_y], inverse(wit_y))
@@ -301,63 +324,3 @@ def sliding_circuits_in_sss(sss: frozenset, budgets: Budgets | None = None) -> f
     some = next(iter(sss))
     member = _SCMembership(some.inf, some.canonical_length, budgets)
     return frozenset(y for y in sss if member(y))
-
-
-def _minimal_conjugator(x: GarsideElement, member, budgets: Budgets) -> GarsideElement:
-    """Breadth-first search over positive elements ordered by letter norm
-    for the unique minimal c with member(x^c).
-
-    By gcd-closure two successes at the same minimal norm would force a
-    success of smaller norm (their meet), so the first success found at
-    the minimal norm is the unique minimal conjugator.
-    """
-    st = x.structure
-    e = identity_element(st)
-    if member(conjugate(x, e)):
-        return e
-    layer = {e}
-    for _ in range(budgets.max_conjugator_norm):
-        nxt = set()
-        for c in layer:
-            for a in st.atoms:
-                nxt.add(multiply(c, from_simple(st, a)))
-        hits = [c for c in nxt if member(conjugate(x, c))]
-        if hits:
-            if len(hits) > 1:
-                raise VerificationError(
-                    "minimal conjugator is not unique; gcd-closure violated"
-                )
-            return hits[0]
-        layer = nxt
-    raise BudgetExceeded(
-        f"no conjugator into the set within norm {budgets.max_conjugator_norm}"
-    )
-
-
-def minimal_sc_conjugator(
-    x: GarsideElement, budgets: Budgets | None = None
-) -> GarsideElement:
-    """The minimal positive element conjugating x into its sliding circuits.
-
-    Desk-scale oracle by breadth-first search, not a production algorithm.
-    """
-    budgets = budgets or Budgets()
-
-    def member(y: GarsideElement) -> bool:
-        return in_sc(y, budgets.max_trajectory_states)
-
-    return _minimal_conjugator(x, member, budgets)
-
-
-def minimal_sss_conjugator(
-    x: GarsideElement, budgets: Budgets | None = None
-) -> GarsideElement:
-    """The minimal positive element conjugating x into its super summit set."""
-    budgets = budgets or Budgets()
-    rep, _, _ = slide_to_circuit(x, budgets.max_trajectory_states)
-    inf_s, ell_s = rep.inf, rep.canonical_length
-
-    def member(y: GarsideElement) -> bool:
-        return y.inf == inf_s and y.canonical_length == ell_s
-
-    return _minimal_conjugator(x, member, budgets)

@@ -4,12 +4,14 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
+from garside.circuits import compute_scg
 from garside.core import (
     VerificationError,
     _element,
     _push_factor,
     conjugate_simple,
     from_simple,
+    inverse,
     left_normal_form,
     multiply,
 )
@@ -138,6 +140,17 @@ def scan_indecomposable_conjugators(y, member):
             out.append(c)
     out.sort(key=st.sort_key)
     return out
+
+
+def full_graph_conjugator(x, y):
+    """Solver oracle: build the whole sliding circuits graph of x, then
+    look up the circuit representative of y; a conjugator c with x^c = y,
+    or None."""
+    rep_y, wit_y, _ = slide_to_circuit(y)
+    graph = compute_scg(x)
+    if rep_y not in graph.witness_to_base:
+        return None
+    return multiply(graph.witness_to_base[rep_y], inverse(wit_y))
 
 
 @pytest.fixture

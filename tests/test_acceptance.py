@@ -13,7 +13,7 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
-from garside.circuits import compute_sss, minimal_sc_conjugator, sliding_circuit_set
+from garside.circuits import compute_sss, sliding_circuit_set
 from garside.core import (
     conjugate,
     conjugate_simple,
@@ -35,6 +35,7 @@ from garside.sliding import (
 )
 
 from conftest import random_element, random_word, structures_for_properties
+from oracles import minimal_sc_conjugator
 
 
 def el(st, ks):

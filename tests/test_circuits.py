@@ -14,10 +14,7 @@ from garside.circuits import (
     compute_scg,
     compute_sss,
     indecomposable_conjugators,
-    minimal_sc_conjugator,
-    minimal_sss_conjugator,
     sliding_circuit_set,
-    solve_cdp,
     solve_csp,
 )
 from garside.core import (
@@ -44,13 +41,22 @@ from garside.sliding import (
     iterated_transport,
     preferred_prefix,
     prefix_product,
+    prefix_products,
     slide_to_circuit,
+    sliding_trajectory,
 )
 
 from conftest import (
+    full_graph_conjugator,
     random_element,
     scan_indecomposable_conjugators,
     sss_with_witnesses,
+)
+from oracles import (
+    minimal_conjugator,
+    minimal_sc_conjugator,
+    minimal_sss_conjugator,
+    solve_cdp,
 )
 
 
@@ -313,6 +319,42 @@ def test_solver_random_conjugates(rng):
             assert conjugate(x, w.conjugator) == y
 
 
+def test_solver_matches_full_graph_oracle():
+    """On fixed-seed pairs, planted and independent, the solver that stops
+    at y's circuit returns the conjugator of the full-graph solver."""
+    rng = random.Random(20261018)
+    for st, letters in [(artin_structure(4), 10), (artin_structure(5), 12),
+                        (bkl_structure(4), 10), (bkl_structure(5), 10)]:
+        for _ in range(6):
+            x = random_element(st, rng, length=letters)
+            y = conjugate(x, random_element(st, rng, length=letters // 2))
+            w = solve_csp(x, y)
+            assert w is not None
+            assert w.conjugator == full_graph_conjugator(x, y)
+            y = random_element(st, rng, length=letters)
+            w = solve_csp(x, y)
+            c = full_graph_conjugator(x, y)
+            assert (w is None and c is None) or w.conjugator == c
+
+
+def test_scg_walk_to_a_target_keeps_the_full_graph_witnesses(rng):
+    """compute_scg with a target returns part of the full graph, holding the
+    target with the witness the full graph gives it."""
+    for st in [artin_structure(4), bkl_structure(4), artin_structure(5)]:
+        for _ in range(6):
+            x = random_element(st, rng, length=8)
+            full = compute_scg(x)
+            for v in full.vertices[:: max(1, len(full.vertices) // 3)]:
+                part = compute_scg(x, target=v)
+                assert set(part.vertices) <= set(full.vertices)
+                assert set(part.arrows) <= set(full.arrows)
+                assert part.witness_to_base[v] == full.witness_to_base[v]
+            # a target outside the class leaves the graph whole
+            outside = multiply(delta_power(st, 1), full.vertices[0])
+            whole = compute_scg(x, target=outside)
+            assert (whole.vertices, whole.arrows) == (full.vertices, full.arrows)
+
+
 def test_gcd_closure_of_sc_and_sss(rng):
     """Conjugators into the invariant sets are closed under meets (and,
     for the summit set, joins)."""
@@ -337,19 +379,24 @@ def test_gcd_closure_of_sc_and_sss(rng):
     assert count >= 100
 
 
-def rigid_length_two_seeds(st):
+def rigid_normal_forms(st, p, length):
+    """Every rigid Delta^p s_1 ... s_length in left normal form, in the
+    order of st.simples() on each factor."""
+    proper = [s for s in st.simples() if not st.is_trivial(s) and not st.is_delta(s)]
     out = []
-    for a in st.simples():
-        if st.is_trivial(a) or st.is_delta(a):
-            continue
-        for b in st.simples():
-            if st.is_trivial(b) or st.is_delta(b):
-                continue
-            if not st.is_trivial(st.meet_simple(st.complement(a), b)):
-                continue
-            x = GarsideElement(st, 0, (a, b))
+
+    def extend(factors):
+        if len(factors) == length:
+            x = GarsideElement(st, p, tuple(factors))
             if is_rigid(x):
                 out.append(x)
+            return
+        for b in proper:
+            if factors and not st.is_trivial(st.meet_simple(st.complement(factors[-1]), b)):
+                continue
+            extend(factors + [b])
+
+    extend([])
     return out
 
 
@@ -357,7 +404,7 @@ def test_rigid_classes_sc_is_rigid_conjugates_exhaustive_b4():
     """For a rigid seed, the sliding circuits are exactly the rigid
     conjugates; checked against the independently enumerated summit set."""
     st = artin_structure(4)
-    seeds = rigid_length_two_seeds(st)
+    seeds = rigid_normal_forms(st, 0, 2)
     assert seeds
     seen_classes = set()
     for x in seeds:
@@ -396,7 +443,7 @@ def test_minimal_conjugator_on_rigid_classes_is_sliding(rng):
     positive conjugator, and minimal conjugators transport onto each other."""
     st = artin_structure(4)
     checked = 0
-    for x in rigid_length_two_seeds(st)[:2]:
+    for x in rigid_normal_forms(st, 0, 2)[:2]:
         for y in sorted(sss_with_witnesses(x), key=lambda v: v.sort_key()):
             c = minimal_sc_conjugator(y)
             # c(y) = P_i(y) once the trajectory has entered its circuit
@@ -411,6 +458,37 @@ def test_minimal_conjugator_on_rigid_classes_is_sliding(rng):
                 assert iterated_transport(c, y, k) == minimal_sc_conjugator(z)
             checked += 1
     assert checked >= 4
+
+
+def test_first_rigid_prefix_product_is_the_minimal_rigid_conjugator():
+    """The paper's theorem: for a super summit x with rigid conjugates, and
+    N the first step at which iterated sliding of x is rigid, P_N(x) is the
+    minimal positive conjugator of x to a rigid element.  Checked against
+    breadth-first search on every super summit element of every rigid
+    class with summit inf 0 or 1 and canonical length 1 to 3 in classical
+    B_3 and B_4 and dual B_4; the enumeration is exhaustive, so no seed."""
+    checked = slid = 0
+    for st in [artin_structure(3), artin_structure(4), bkl_structure(4)]:
+        for p in (0, 1):
+            for length in (1, 2, 3):
+
+                def member(y):
+                    return (y.inf, y.canonical_length) == (p, length) and is_rigid(y)
+
+                covered = set()
+                for seed in rigid_normal_forms(st, p, length):
+                    if seed in covered:
+                        continue
+                    sss = compute_sss(seed)
+                    covered |= sss
+                    for x in sorted(sss, key=lambda v: v.sort_key()):
+                        states = sliding_trajectory(x).states
+                        n = next(i for i, z in enumerate(states) if is_rigid(z))
+                        assert prefix_products(x, n)[n] == minimal_conjugator(x, member)
+                        checked += 1
+                        slid += n > 0
+    assert checked == 992
+    assert slid >= 100
 
 
 def test_mu_bijection_counts_b4():
@@ -462,7 +540,7 @@ def test_budget_exhaustion_is_loud():
         compute_scg(x, Budgets(max_set_size=len(st.simples()) - 1))
     assert len(compute_scg(x, Budgets(max_set_size=len(st.simples()))).vertices) == 2
     with pytest.raises(BudgetExceeded):
-        minimal_sc_conjugator(el(st, [3, 2, 1]), Budgets(max_conjugator_norm=0))
+        minimal_sc_conjugator(el(st, [3, 2, 1]), max_norm=0)
 
 
 def test_conjugator_search_rejects_non_members():

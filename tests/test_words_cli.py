@@ -218,6 +218,40 @@ def test_cli_conj_no(capsys):
     assert out.strip() == "NO"
 
 
+def test_cli_conj_no_from_summit_invariants_builds_no_graph(capsys, monkeypatch):
+    """Pairs whose circuit representatives differ in inf or canonical
+    length are answered NO before any graph is walked."""
+    import garside.circuits
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(garside.circuits, "compute_scg", no_graph)
+    for argv in (["conj", "s1 s2 s3", "s1 s1"],
+                 ["conj", "D s1", "s1"],
+                 ["--n", "5", "conj", "s1 s2^-1 s3 s4", "D^-1 s2 s3"],
+                 ["--structure", "bkl", "conj", "a(3,1)", "a(3,1) a(3,1)"],
+                 ["--structure", "bkl", "conj", "D^2 a(4,2)", "D a(4,2)"],
+                 ["--structure", "bkl", "--n", "5", "conj", "a(5,2) a(3,1)^-1",
+                  "a(4,1) a(5,3) a(2,1)"],
+                 # nothing is enumerated, so the simples budget does not apply
+                 ["--n", "11", "conj", "s1 s2", "s1 s1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "NO\n", ""), argv
+
+
+def test_cli_conj_vertex_budget(capsys):
+    # equal summit invariants and not conjugate: a NO needs the whole graph
+    code, out, err = run_cli(
+        capsys, ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2"])
+    assert code == 3 and out == ""
+    assert "budget" in err.lower()
+    # y's circuit is reached before the budget is
+    code, out, _ = run_cli(
+        capsys, ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2 s3"])
+    assert (code, out) == (0, "YES 1\n")
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["nf", "wat"])
     assert code == 2
