@@ -10,6 +10,7 @@ is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,8 +47,10 @@ EXIT_VERIFICATION = 4
 EXIT_INTERNAL = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # global flags live in a parent parser so they are accepted both before
+    # built once per process: parsing leaves the parser as it was.  Global
+    # flags live in a parent parser so they are accepted both before
     # and after the subcommand; SUPPRESS keeps the subparser occurrence from
     # clobbering an earlier one with a default
     common = argparse.ArgumentParser(add_help=False)

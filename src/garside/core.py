@@ -299,7 +299,14 @@ class GarsideElement:
 
 def _push_factor(st: GarsideStructure, fs: list, c) -> int:
     """Append simple c to the normal-form factor list fs, restoring
-    normality by one right-to-left wave of local slidings.
+    normality by a right-to-left wave of local slidings.
+
+    Each step replaces a pair (a, b) by (a s, s^-1 b) with
+    s = partial(a) /\\ b, and the wave stops at the first trivial s.  When
+    a step (or c itself) yields Delta, the wave stops there too: the
+    remaining steps would only move that Delta to the front, twisting each
+    factor it passes by tau (X Delta = Delta tau(X)), so the Delta is
+    dropped and tau is applied once to each factor in front of it.
 
     fs must hold factors all strictly between trivial and Delta; the same
     holds on return.  Returns the Delta power stripped off the front
@@ -307,26 +314,60 @@ def _push_factor(st: GarsideStructure, fs: list, c) -> int:
     """
     if st.is_trivial(c):
         return 0
-    if st.is_delta(c):
-        fs[:] = [st.tau(f) for f in fs]
-        return 1
     fs.append(c)
-    i = len(fs) - 2
-    while i >= 0:
+    i = len(fs) - 1
+    while i and not st.is_delta(fs[i]):
+        a, b = fs[i - 1], fs[i]
+        s = st.meet_simple(st.complement(a), b)
+        if st.is_trivial(s):
+            break
+        fs[i - 1] = st.prod(a, s)
+        fs[i] = st.lquot(s, b)
+        i -= 1
+    d = 0
+    if st.is_delta(fs[i]):
+        del fs[i]
+        fs[:i] = [st.tau(f) for f in fs[:i]]
+        d = 1
+    if fs and st.is_trivial(fs[-1]):
+        del fs[-1]
+    return d
+
+
+def _push_front(st: GarsideStructure, fs: list, c) -> int:
+    """Prepend simple c to the normal-form factor list fs, restoring
+    normality by a left-to-right wave of local slidings.
+
+    The first factor of c x_1...x_r is c (partial(c) /\\ x_1), and the rest
+    is the normal form of (partial(c) /\\ x_1)^-1 x_1 times x_2...x_r, so
+    each step is the local sliding of :func:`_push_factor` on the next pair.
+    The wave stops at the first trivial meet, or where the carried simple
+    is used up (the factor it leaves is trivial and dropped).  Only the
+    first factor can become Delta (inf(c X) <= sup(c) + inf(X) = 1); it is
+    stripped.
+
+    fs must hold factors all strictly between trivial and Delta; the same
+    holds on return.  Returns the Delta power stripped off the front
+    (0 or 1).
+    """
+    if st.is_trivial(c):
+        return 0
+    fs.insert(0, c)
+    for i in range(len(fs) - 1):
         a, b = fs[i], fs[i + 1]
         s = st.meet_simple(st.complement(a), b)
         if st.is_trivial(s):
             break
         fs[i] = st.prod(a, s)
-        fs[i + 1] = st.lquot(s, b)
-        i -= 1
-    d = 0
-    if fs and st.is_delta(fs[0]):
+        b = st.lquot(s, b)
+        if st.is_trivial(b):
+            del fs[i + 1]
+            break
+        fs[i + 1] = b
+    if st.is_delta(fs[0]):
         del fs[0]
-        d = 1
-    if fs and st.is_trivial(fs[-1]):
-        del fs[-1]
-    return d
+        return 1
+    return 0
 
 
 def _element(st: GarsideStructure, p: int, fs: Sequence) -> GarsideElement:
@@ -466,17 +507,17 @@ def conjugate_simple(x: GarsideElement, s) -> GarsideElement:
     """x^s for a simple conjugator s; avoids materializing s^-1 separately.
 
     s^-1 Delta^p = Delta^p tau^p(s)^-1 and tau^p(s)^-1 = Delta^-1 q with
-    q = partial^-1(tau^p(s)), so x^s = Delta^(p-1) q x_1...x_r s.
+    q = partial^-1(tau^p(s)), so x^s = Delta^(p-1) q x_1...x_r s.  Only the
+    two ends of x_1...x_r change: q is pushed at the front with one
+    left-to-right wave (:func:`_push_front`) and s at the back with one
+    right-to-left wave (:func:`_push_factor`), each stopping early.
     """
     st = x.structure
     if st.is_trivial(s):
         return x
     q = st.complement_inv(st.tau_pow(s, x.p))
-    p = x.p - 1
-    fs: list = []
-    p += _push_factor(st, fs, q)
-    for c in x.factors:
-        p += _push_factor(st, fs, c)
+    fs = list(x.factors)
+    p = x.p - 1 + _push_front(st, fs, q)
     p += _push_factor(st, fs, s)
     return _element(st, p, fs)
 

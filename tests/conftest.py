@@ -8,7 +8,6 @@ from garside.circuits import compute_scg
 from garside.core import (
     VerificationError,
     _element,
-    _push_factor,
     conjugate_simple,
     from_simple,
     inverse,
@@ -80,8 +79,79 @@ def letterwise_normal_form(st, word):
             # X Delta^dp = Delta^dp tau^dp(X)
             p += dp
             fs = [st.tau_pow(f, dp) for f in fs]
-        p += _push_factor(st, fs, c)
+        p += stepwise_push_factor(st, fs, c)
     return _element(st, p, fs)
+
+
+def stepwise_push_factor(st, fs, c):
+    """Push oracle: append simple c to the normal-form factor list fs by a
+    right-to-left wave of local slidings that runs on to the front when a
+    factor becomes Delta, then strips that Delta; returns 0 or 1."""
+    if st.is_trivial(c):
+        return 0
+    if st.is_delta(c):
+        fs[:] = [st.tau(f) for f in fs]
+        return 1
+    fs.append(c)
+    i = len(fs) - 2
+    while i >= 0:
+        a, b = fs[i], fs[i + 1]
+        s = st.meet_simple(st.complement(a), b)
+        if st.is_trivial(s):
+            break
+        fs[i] = st.prod(a, s)
+        fs[i + 1] = st.lquot(s, b)
+        i -= 1
+    d = 0
+    if fs and st.is_delta(fs[0]):
+        del fs[0]
+        d = 1
+    if fs and st.is_trivial(fs[-1]):
+        del fs[-1]
+    return d
+
+
+def rebuild_conjugate_simple(x, s):
+    """Conjugation oracle: x^s = Delta^(p-1) q x_1...x_r s with
+    q = partial^-1(tau^p(s)), by pushing q, every factor of x and s onto an
+    empty list."""
+    st = x.structure
+    if st.is_trivial(s):
+        return x
+    q = st.complement_inv(st.tau_pow(s, x.p))
+    p = x.p - 1
+    fs: list = []
+    p += stepwise_push_factor(st, fs, q)
+    for c in x.factors:
+        p += stepwise_push_factor(st, fs, c)
+    p += stepwise_push_factor(st, fs, s)
+    return _element(st, p, fs)
+
+
+def wave_corpus():
+    """Fixed-seed inputs for the wave cross-checks: (x, conjugators) in
+    classical and dual B_3..B_8.  The words mix signs and D^k letters; the
+    conjugators are random simples, the trivial element, Delta, partial of
+    the last factor (a Delta mid-wave) and partial^-1 of the first."""
+    rng = random.Random(20261018)
+    out = []
+    for n in range(3, 9):
+        for st in (artin_structure(n), bkl_structure(n)):
+            for _ in range(20):
+                word = random_word(st, rng, rng.randint(0, 36))
+                for _ in range(rng.randint(0, 2)):
+                    word.insert(rng.randint(0, len(word)),
+                                (st.delta, rng.randint(-3, 3)))
+                x = left_normal_form(st, word)
+                cs = [st.trivial, st.delta]
+                for _ in range(3):
+                    y = random_positive_element(st, rng, rng.randint(1, n))
+                    cs.append(y.factors[0] if y.factors else st.delta)
+                if x.factors:
+                    cs.append(st.complement(x.factors[-1]))
+                    cs.append(st.complement_inv(x.factors[0]))
+                out.append((x, cs))
+    return out
 
 
 def sss_with_witnesses(x):

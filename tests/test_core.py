@@ -11,6 +11,7 @@ from garside.core import (
     GarsideStructure,
     ReverseStructure,
     _push_factor,
+    _push_front,
     conjugate_simple,
     delta_power,
     from_simple,
@@ -34,7 +35,10 @@ from conftest import (
     letterwise_normal_form,
     random_element,
     random_word,
+    rebuild_conjugate_simple,
+    stepwise_push_factor,
     structures_for_properties,
+    wave_corpus,
 )
 
 
@@ -415,6 +419,71 @@ def test_conjugate_simple_matches_generic_conjugation(rng):
             x = random_element(st, rng)
             s = rng.choice(st.simples())
             assert conjugate_simple(x, s) == conjugate(x, from_simple(st, s))
+
+
+def test_waves_match_stepwise_oracles():
+    """Pushing at the back, pushing at the front and conjugating by a simple
+    give the Delta power and factors of the oracles that run every wave to
+    the front or rebuild the list, on the fixed-seed corpus."""
+    mid_wave_deltas = 0
+    for x, cs in wave_corpus():
+        st = x.structure
+        for c in cs:
+            fs, want = list(x.factors), list(x.factors)
+            d = stepwise_push_factor(st, want, c)
+            assert (_push_factor(st, fs, c), fs) == (d, want)
+            mid_wave_deltas += d == 1 and not st.is_delta(c)
+
+            fs, want = list(x.factors), []
+            d = stepwise_push_factor(st, want, c)
+            for f in x.factors:
+                d += stepwise_push_factor(st, want, f)
+            assert (_push_front(st, fs, c), fs) == (d, want)
+
+            y, z = conjugate_simple(x, c), rebuild_conjugate_simple(x, c)
+            assert (y.p, y.factors) == (z.p, z.factors)
+    assert mid_wave_deltas > 0
+
+
+def count_meets(monkeypatch, structures):
+    """Patch meet_simple on each structure to count its calls; returns a
+    one-element list holding the count."""
+    calls = [0]
+    for st in structures:
+        def counted(a, b, meet=st.meet_simple):
+            calls[0] += 1
+            return meet(a, b)
+        monkeypatch.setattr(st, "meet_simple", counted)
+    return calls
+
+
+def test_delta_leaves_the_wave_after_one_meet(monkeypatch):
+    rng = random.Random(7)
+    for st in (artin_structure(6), bkl_structure(6)):
+        x = random_element(st, rng, 120)
+        assert len(x.factors) >= 20
+        calls = count_meets(monkeypatch, [st])
+        fs = list(x.factors)
+        assert _push_factor(st, fs, st.complement(x.factors[-1])) == 1
+        assert calls[0] == 1
+        assert fs == [st.tau(f) for f in x.factors[:-1]]
+
+
+def test_conjugate_simple_takes_fewer_meets_than_the_rebuild(monkeypatch):
+    corpus = wave_corpus()
+    calls = count_meets(monkeypatch, {id(x.structure): x.structure
+                                      for x, _ in corpus}.values())
+    waves = rebuild = 0
+    for x, cs in corpus:
+        for c in cs:
+            start = calls[0]
+            conjugate_simple(x, c)
+            waves += calls[0] - start
+            start = calls[0]
+            rebuild_conjugate_simple(x, c)
+            rebuild += calls[0] - start
+    # both waves stop early: well under half the meets of the rebuild
+    assert 2 * waves < rebuild
 
 
 def test_join_simple_matches_complement_definition():

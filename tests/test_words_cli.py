@@ -7,7 +7,7 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
-from garside.cli import main
+from garside.cli import _build_parser, main
 from garside.core import (
     conjugate,
     delta_power,
@@ -162,6 +162,19 @@ def test_cli_global_flags_before_or_after_subcommand(capsys):
     a = run_cli(capsys, ["--structure", "bkl", "--n", "5", "nf", "s1 s2"])
     b = run_cli(capsys, ["nf", "--structure", "bkl", "--n", "5", "s1 s2"])
     assert a == b and a[0] == 0
+
+
+def test_cli_main_keeps_no_flags_between_calls(capsys):
+    # the parser is built once per process and reused by every main() call
+    plain = run_cli(capsys, ["nf", "s1 s2"])
+    before = run_cli(capsys, ["--structure", "bkl", "--n", "5", "--format",
+                              "json", "nf", "s1 s2"])
+    after = run_cli(capsys, ["nf", "--structure", "bkl", "--n", "5",
+                             "--format", "json", "s1 s2"])
+    assert before == after and before[0] == 0 and before != plain
+    assert run_cli(capsys, ["nf", "s1 s2"]) == plain
+    assert plain == (0, "s1 s2\n", "")
+    assert _build_parser() is _build_parser()
 
 
 def test_cli_slide(capsys):
