@@ -6,8 +6,19 @@ tuple of images (strand i maps to s[i-1]).  Delta is the half twist
 
 Composition convention: (a * b)(i) = b(a(i)), so appending sigma_k on the
 right swaps the *values* k and k+1.  Under this convention the prefix order
-on simples is containment of inversion sets, which gives an O(1) test per
-atom extension in the meet.
+on simples is containment of inversion sets, the weak order (Epstein et al.,
+*Word Processing in Groups*, ch. 9).
+
+The meet and the join are built in one insertion pass.  A pair of positions
+i < j is a non-inversion of the meet iff j is reached from i by a chain of
+increasing positions whose steps are non-inversions of a or of b: the
+meet's non-inversions are the transitive closure of those of a and b.
+Visiting i = n-2, ..., 0, keep `order`, the positions after i by increasing
+value of the meet.  The positions reachable from i form an up-set of
+`order`, and the first of them is reached in one step, so i goes just
+before the first j in `order` with a[i] < a[j] or b[i] < b[j], or at the end
+if there is none.  The join is the same pass with inversions for
+non-inversions: `>` for `<`, building the order of decreasing values.
 """
 
 from __future__ import annotations
@@ -69,22 +80,44 @@ class ArtinStructure(GarsideStructure):
         return True
 
     def meet_simple(self, a, b):
-        # Greedy atom extension u -> u sigma_k.  Appending sigma_k adds the
-        # inversion at the positions of values k, k+1 (valid only if k sits
-        # left of k+1 in u); the extension stays below a and b iff that
-        # position pair is inverted in both.
+        """Greatest common prefix: insert each position before the first
+        later one it must stay below (see the module docstring); then the
+        r-th position of `order` gets the value r + 1."""
         n = self.n
-        u = list(range(1, n + 1))
-        pos = list(range(n))  # pos[v-1] = index of value v in u
-        changed = True
-        while changed:
-            changed = False
-            for k in range(1, n):
-                i, j = pos[k - 1], pos[k]
-                if i < j and a[i] > a[j] and b[i] > b[j]:
-                    u[i], u[j] = k + 1, k
-                    pos[k - 1], pos[k] = j, i
-                    changed = True
+        order = [n - 1]
+        for i in range(n - 2, -1, -1):
+            ai, bi = a[i], b[i]
+            r = 0
+            for j in order:
+                if ai < a[j] or bi < b[j]:
+                    break
+                r += 1
+            order.insert(r, i)
+        u = [0] * n
+        r = 1
+        for j in order:
+            u[j] = r
+            r += 1
+        return tuple(u)
+
+    def join_simple(self, a, b):
+        """Least common multiple: the meet's pass with `>` for `<`, so
+        `order` lists positions by decreasing value and the r-th gets n - r."""
+        n = self.n
+        order = [n - 1]
+        for i in range(n - 2, -1, -1):
+            ai, bi = a[i], b[i]
+            r = 0
+            for j in order:
+                if ai > a[j] or bi > b[j]:
+                    break
+                r += 1
+            order.insert(r, i)
+        u = [0] * n
+        r = n
+        for j in order:
+            u[j] = r
+            r -= 1
         return tuple(u)
 
     def right_meet_simple(self, a, b):

@@ -40,6 +40,12 @@ def _canonical_labels(raw) -> tuple:
     return tuple(out)
 
 
+def _band_index(t: int, s: int) -> int:
+    """Index of a_{t,s} in BKLStructure.atoms, which lists the bands by t,
+    then s."""
+    return (t - 1) * (t - 2) // 2 + s - 1
+
+
 def blocks_of(s: tuple) -> list:
     """Blocks of a partition encoding, as lists of 1-based elements,
     ordered by minimal element."""
@@ -180,7 +186,11 @@ class BKLStructure(GarsideStructure):
         return True
 
     def meet_simple(self, a, b):
-        return _canonical_labels(list(zip(a, b)))
+        # the blockwise meet, labelled by first occurrence in one pass: both
+        # arguments carry canonical labels below n, so x * n + y keys a pair
+        n = self.n
+        seen: dict = {}
+        return tuple([seen.setdefault(x * n + y, len(seen)) for x, y in zip(a, b)])
 
     # The suffix order is refinement too: u is a prefix (suffix) of w iff
     # norm(u) plus the reflection length of u^-1 w (of w u^-1) is norm(w),

@@ -49,6 +49,7 @@ class GarsideStructure:
         self._tau_cache: dict = {}
         self._tau_inv_cache: dict = {}
         self._norm_cache: dict = {}
+        self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
         self._by_norm: list | None = None
 
     # -- primitives a subclass must implement ------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .artin import ArtinStructure
-from .bkl import BKLStructure
+from .bkl import BKLStructure, _band_index
 from .core import GarsideElement, GarsideStructure, left_normal_form
 
 
@@ -61,23 +61,21 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
         if not 1 <= k < st.n:
             raise WordError(f"sigma index {k} out of range", idx)
         if isinstance(st, ArtinStructure):
-            return [(st.atom(k), e)]
-        return [(st.atom(k + 1, k), e)]
+            return [(st.atoms[k - 1], e)]
+        return [(st.atoms[_band_index(k + 1, k)], e)]
     m = _BAND.match(tok)
     if m:
         t, s, e = int(m.group(1)), int(m.group(2)), -1 if m.group(3) else 1
         if t < s:
             t, s = s, t
         if isinstance(st, BKLStructure):
-            try:
-                a = st.atom(t, s)
-            except ValueError as exc:
-                raise WordError(str(exc), idx) from None
-            return [(a, e)]
+            if not 1 <= s < t <= st.n:
+                raise WordError(f"band indices ({t},{s}) out of range for {st.name}", idx)
+            return [(st.atoms[_band_index(t, s)], e)]
         if isinstance(st, ArtinStructure):
             if not 1 <= s < t <= st.n:
                 raise WordError(f"band indices ({t},{s}) out of range", idx)
-            word = [(st.atom(k), ek) for k, ek in band_to_sigma_word(t, s)]
+            word = [(st.atoms[k - 1], ek) for k, ek in band_to_sigma_word(t, s)]
             if e == -1:
                 word = [(a, -ex) for a, ex in reversed(word)]
             return word
@@ -102,7 +100,15 @@ def band_to_sigma_word(t: int, s: int) -> list:
 
 
 def render_simple(st: GarsideStructure, s) -> str:
-    """A simple element as a word string, canonical per structure."""
+    """A simple element as a word string, canonical per structure.  Each
+    simple is rendered once per structure and then read from its cache."""
+    text = st._render_cache.get(s)
+    if text is None:
+        text = st._render_cache[s] = _render_word(st, s)
+    return text
+
+
+def _render_word(st: GarsideStructure, s) -> str:
     if isinstance(st, ArtinStructure):
         word = st.simple_to_word(s)
         return " ".join(f"s{k}" for k in word) if word else "1"

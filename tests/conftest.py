@@ -59,6 +59,28 @@ def structures_for_properties():
     ]
 
 
+def greedy_meet_simple(st, a, b):
+    """Classical meet oracle: greatest common prefix of two permutation
+    braids by greedy atom extension."""
+    # Greedy atom extension u -> u sigma_k.  Appending sigma_k adds the
+    # inversion at the positions of values k, k+1 (valid only if k sits
+    # left of k+1 in u); the extension stays below a and b iff that
+    # position pair is inverted in both.
+    n = st.n
+    u = list(range(1, n + 1))
+    pos = list(range(n))  # pos[v-1] = index of value v in u
+    changed = True
+    while changed:
+        changed = False
+        for k in range(1, n):
+            i, j = pos[k - 1], pos[k]
+            if i < j and a[i] > a[j] and b[i] > b[j]:
+                u[i], u[j] = k + 1, k
+                pos[k - 1], pos[k] = j, i
+                changed = True
+    return tuple(u)
+
+
 def letterwise_normal_form(st, word):
     """Normal-form oracle: push one letter at a time, exponent +-1 only.
 

@@ -1,5 +1,6 @@
 """The permutation-braid descriptor for the classical structure."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -12,6 +13,8 @@ from garside.artin import (
     artin_structure,
 )
 from garside.core import from_simple, left_normal_form, prefix_leq
+
+from conftest import greedy_meet_simple
 
 
 def test_descriptor_basics():
@@ -120,3 +123,44 @@ def test_one_pass_lquot_matches_composition_with_inverse():
             inv = _invert(s)
             for b in st.simples():
                 assert st.lquot(s, b) == _compose(inv, b)
+
+
+def greedy_join_simple(st, a, b):
+    """Join oracle: partial^-1(partial a /\\' partial b), the greatest common
+    suffix taken as the inverse of the greedy meet of the inverses."""
+    ca, cb = _invert(st.complement(a)), _invert(st.complement(b))
+    return st.complement_inv(_invert(greedy_meet_simple(st, ca, cb)))
+
+
+def lattice_pairs(st, rng, count):
+    """3 * count random pairs of simples: independent, with a special
+    element, and one adjacent transposition apart (so the meet is large);
+    plus every pair of Delta, the trivial element and the atoms."""
+    special = [st.delta, st.trivial, *st.atoms]
+    pairs = [(a, b) for a in special for b in special]
+    for _ in range(count):
+        a, b = list(st.trivial), list(st.trivial)
+        rng.shuffle(a)
+        rng.shuffle(b)
+        pairs.append((tuple(a), tuple(b)))
+        pairs.append((tuple(a), rng.choice(special)))
+        k = rng.randrange(st.n - 1)
+        b = list(a)
+        b[k], b[k + 1] = b[k + 1], b[k]
+        pairs.append((tuple(a), tuple(b)))
+    return pairs
+
+
+def test_meet_and_join_match_greedy_oracles():
+    """The insertion-pass meet and join against the greedy meet: every pair
+    for n <= 5, and fixed-seed pairs for n = 6..8."""
+    rng = random.Random(20261018)
+    for n in range(2, 9):
+        st = artin_structure(n)
+        if n <= 5:
+            pairs = [(a, b) for a in st.simples() for b in st.simples()]
+        else:
+            pairs = lattice_pairs(st, rng, 7_000)
+        for a, b in pairs:
+            assert st.meet_simple(a, b) == greedy_meet_simple(st, a, b)
+            assert st.join_simple(a, b) == greedy_join_simple(st, a, b)

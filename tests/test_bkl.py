@@ -1,11 +1,19 @@
 """The non-crossing-partition descriptor for the dual structure."""
 
+import random
 from math import comb
 
 import pytest
 
 from garside.artin import artin_structure
-from garside.bkl import BKLStructure, bkl_structure, blocks_of, is_noncrossing
+from garside.bkl import (
+    BKLStructure,
+    _band_index,
+    _canonical_labels,
+    bkl_structure,
+    blocks_of,
+    is_noncrossing,
+)
 from garside.cli import main
 from garside.core import (
     VerificationError,
@@ -153,6 +161,31 @@ def test_blockwise_meet_agrees_with_generic_greedy():
                     for c in simples:
                         if st.leq(c, a) and st.leq(c, b):
                             assert st.leq(c, m)
+
+
+def test_one_pass_meet_matches_relabelled_pairs():
+    """The keyed one-pass labelling against relabelling the pairs of labels:
+    every pair for n <= 6, and fixed-seed pairs for n = 8."""
+    rng = random.Random(20261018)
+    for n in range(2, 9):
+        st = bkl_structure(n)
+        simples = st.simples()
+        if n <= 6:
+            pairs = [(a, b) for a in simples for b in simples]
+        else:
+            special = [st.delta, st.trivial, *st.atoms]
+            pairs = [(a, b) for a in special for b in special]
+            pairs += [(rng.choice(simples), rng.choice(simples)) for _ in range(20_000)]
+        for a, b in pairs:
+            assert st.meet_simple(a, b) == _canonical_labels(list(zip(a, b)))
+
+
+def test_band_index_matches_the_atom_table():
+    for n in range(2, 9):
+        st = bkl_structure(n)
+        for t in range(2, n + 1):
+            for s in range(1, t):
+                assert st.atoms[_band_index(t, s)] == st.atom(t, s)
 
 
 def test_generic_element_meet_on_simples_n6(rng):

@@ -1,12 +1,13 @@
 """Word grammar and the command-line frontend."""
 
 import json
+import random
 import time
 
 import pytest
 
-from garside.artin import artin_structure
-from garside.bkl import bkl_structure
+from garside.artin import ArtinStructure, artin_structure
+from garside.bkl import BKLStructure, bkl_structure
 from garside.cli import _build_parser, main
 from garside.core import (
     conjugate,
@@ -19,6 +20,7 @@ from garside.core import (
 )
 from garside.words import (
     WordError,
+    _render_word,
     element_to_json,
     parse_word,
     render_element,
@@ -107,6 +109,22 @@ def test_parse_errors_carry_position():
         parse_word(bkl_structure(4), "[1,2,3,4]")
 
 
+def test_parse_error_messages_are_unchanged():
+    cases = {
+        "s0": "token 1: sigma index 0 out of range",
+        "s9^-1": "token 1: sigma index 9 out of range",
+        "a(1,9)": "token 1: band indices (9,1) out of range{}",
+        "a(2,2)": "token 1: band indices (2,2) out of range{}",
+        "a(0,3)": "token 1: band indices (3,0) out of range{}",
+        "s1 a(5,4)^-1": "token 2: band indices (5,4) out of range{}",
+    }
+    for st, suffix in ((artin_structure(4), ""), (bkl_structure(4), " for bkl-4")):
+        for text, message in cases.items():
+            with pytest.raises(WordError) as exc:
+                parse_word(st, text)
+            assert str(exc.value) == message.format(suffix)
+
+
 def test_render_round_trip(rng):
     for st in [artin_structure(4), artin_structure(5), bkl_structure(5)]:
         for _ in range(40):
@@ -122,6 +140,34 @@ def test_render_simple_forms():
     assert render_simple(ast, ast.atom(2)) == "s2"
     bst = bkl_structure(4)
     assert render_simple(bst, bst.atom(3, 1)) == "a(3,1)"
+
+
+def test_cached_rendering_matches_uncached_on_every_simple():
+    for n in (2, 3, 4, 5):
+        for st in (ArtinStructure(n), BKLStructure(n)):
+            for s in st.simples():
+                assert render_simple(st, s) == _render_word(st, s)
+                assert render_simple(st, s) == _render_word(st, s)
+            assert len(st._render_cache) == st.simple_count()
+
+
+def test_traj_renders_each_simple_once(capsys, monkeypatch):
+    st = artin_structure(6)
+    monkeypatch.setattr(st, "_render_cache", {})
+    seen = []
+
+    def counted(self, s, word=ArtinStructure.simple_to_word):
+        seen.append(s)
+        return word(self, s)
+
+    monkeypatch.setattr(ArtinStructure, "simple_to_word", counted)
+    rng = random.Random(9)
+    word = " ".join(f"s{rng.randint(1, 5)}{rng.choice(['', '^-1'])}" for _ in range(120))
+    code, out, _ = run_cli(capsys, ["--n", "6", "traj", word])
+    assert code == 0
+    # consecutive states share factors, so most simples recur
+    assert out.count(" . ") > len(seen) > 0
+    assert len(seen) == len(set(seen))
 
 
 def test_element_to_json_shape():
