@@ -120,11 +120,6 @@ class ArtinStructure(GarsideStructure):
             r -= 1
         return tuple(u)
 
-    def right_meet_simple(self, a, b):
-        # reversing a positive word inverts its permutation and turns
-        # suffixes into prefixes
-        return _invert(self.meet_simple(_invert(a), _invert(b)))
-
     def _complement(self, s):
         return _compose(_invert(s), self.delta)
 
@@ -140,9 +135,6 @@ class ArtinStructure(GarsideStructure):
         for i, v in enumerate(s):
             out[v - 1] = b[i]
         return tuple(out)
-
-    def rquot(self, b, s):
-        return _compose(b, _invert(s))
 
     def _norm(self, s) -> int:
         return _inversions(s)

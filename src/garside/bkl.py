@@ -9,14 +9,14 @@ delta = sigma_{n-1} ... sigma_1; the atoms are the band generators a_{t,s}
 A block {i_1 < ... < i_k} corresponds to the braid
 a_{i_k, i_{k-1}} ... a_{i_2, i_1}, whose underlying permutation is the
 cycle i_1 -> i_2 -> ... -> i_k -> i_1.  Divisibility of simples, as a
-prefix and as a suffix, is refinement of partitions, so both meets are the
+prefix and as a suffix, is refinement of partitions, so the meet is the
 blockwise meet.  Products, quotients and the complement are computed
 through the underlying permutations, which realizes the Kreweras
 complement (this is validated exhaustively in the tests rather than taken
-on faith), and the join is the complement-side meet pulled back through
-it.  The permutation view is memoised both ways per structure: a
-partition's permutation and its inverse are built once, and a
-permutation's partition is built, and checked to be increasing on every
+on faith), and the join is the blockwise meet of the complements, pulled
+back through it.  The permutation view is memoised both ways per
+structure: a partition's permutation and its inverse are built once, and
+a permutation's partition is built, and checked to be increasing on every
 cycle and non-crossing, once.
 """
 
@@ -55,16 +55,6 @@ def blocks_of(s: tuple) -> list:
             out.append([])
         out[lab].append(i + 1)
     return out
-
-
-def partition_from_blocks(n: int, blocks) -> tuple:
-    labels = [-1] * n
-    for b in blocks:
-        for i in b:
-            labels[i - 1] = min(b)
-    if -1 in labels:
-        raise ValueError("blocks do not cover {1..n}")
-    return _canonical_labels(labels)
 
 
 def is_noncrossing(s: tuple) -> bool:
@@ -192,12 +182,15 @@ class BKLStructure(GarsideStructure):
         seen: dict = {}
         return tuple([seen.setdefault(x * n + y, len(seen)) for x, y in zip(a, b)])
 
-    # The suffix order is refinement too: u is a prefix (suffix) of w iff
-    # norm(u) plus the reflection length of u^-1 w (of w u^-1) is norm(w),
-    # and those two permutations are conjugate.  So the greatest common
-    # suffix is the blockwise meet, and GarsideStructure.join_simple takes
-    # the join through the Kreweras complement.
-    right_meet_simple = meet_simple
+    def join_simple(self, a, b):
+        # a <= c iff partial(c) is a suffix of partial(a), so the join is
+        # partial^-1 of the greatest common suffix of the complements.  The
+        # suffix order is refinement too: u is a prefix (suffix) of w iff
+        # norm(u) plus the reflection length of u^-1 w (of w u^-1) is
+        # norm(w), and those two permutations are conjugate.  So that
+        # suffix is the blockwise meet.
+        return self.complement_inv(
+            self.meet_simple(self.complement(a), self.complement(b)))
 
     def _complement(self, s):
         return self.from_perm(_compose(self._perm_inv(s), self._delta_perm))
@@ -210,9 +203,6 @@ class BKLStructure(GarsideStructure):
 
     def lquot(self, s, b):
         return self.from_perm(_compose(self._perm_inv(s), self.to_perm(b)))
-
-    def rquot(self, b, s):
-        return self.from_perm(_compose(self.to_perm(b), self._perm_inv(s)))
 
     def _norm(self, s) -> int:
         return self.n - len(set(s))

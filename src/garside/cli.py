@@ -137,6 +137,11 @@ def _structure(args):
 
 
 def _budgets(args) -> Budgets:
+    for flag in ("max_vertices", "max_set_size", "max_trajectory"):
+        value = getattr(args, flag)
+        if value < 0:
+            flag = "--" + flag.replace("_", "-")
+            raise WordError(f"{flag} must be non-negative, got {value}", 0)
     return Budgets(
         max_vertices=args.max_vertices,
         max_set_size=args.max_set_size,
@@ -185,8 +190,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    st = _structure(args)
     budgets = _budgets(args)
+    st = _structure(args)
 
     if args.command == "nf":
         print(_emit_element(parse_word(st, args.word), args))
@@ -266,6 +271,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "table":
+        if args.n < 3:
+            raise WordError("table needs --n 3 or more: B_2 has no simple "
+                            "strictly between 1 and Delta", 0)
         classes = enumerate_length_one_classes(st, args.inf, budgets)
         row = statistics_row(args.structure, args.n, args.inf, classes)
         if args.format == "json":

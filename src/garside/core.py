@@ -28,8 +28,8 @@ class GarsideStructure:
     """Contract a concrete finite-type Garside structure must satisfy.
 
     Subclasses provide the primitive operations on simple elements; this
-    base class supplies derived operations (complement powers, tau powers,
-    right meets) and small memo caches for the hot unary operations.
+    base class supplies derived operations (complement and tau powers) and
+    small memo caches for the hot unary operations.
 
     Attributes that subclasses must set: ``name``, ``atoms`` (tuple of
     simples, fixed order), ``delta``, ``trivial``, ``norm_of_delta`` and
@@ -68,6 +68,10 @@ class GarsideStructure:
         """Greatest common prefix of two simples."""
         raise NotImplementedError
 
+    def join_simple(self, a, b):
+        """Least common multiple of two simples for the prefix order."""
+        raise NotImplementedError
+
     def _complement(self, s):
         """partial(s) = s^-1 Delta."""
         raise NotImplementedError
@@ -82,10 +86,6 @@ class GarsideStructure:
 
     def lquot(self, s, b):
         """s^-1 b, under the guarantee s <= b."""
-        raise NotImplementedError
-
-    def rquot(self, b, s):
-        """b s^-1, under the guarantee that s is a suffix of b."""
         raise NotImplementedError
 
     def _norm(self, s) -> int:
@@ -169,101 +169,6 @@ class GarsideStructure:
         if k % 2:
             s = self.complement(s)
         return s
-
-    def suffix_leq(self, a, b) -> bool:
-        """True iff a is a suffix of b, i.e. b >= a."""
-        # b >= a  iff  partial^-1(b) <= partial^-1(a)
-        return self.leq(self.complement_inv(b), self.complement_inv(a))
-
-    def right_meet_simple(self, a, b):
-        """Greatest common suffix of two simples.
-
-        Greedy: extend a common suffix u on the left by atoms while it stays
-        a suffix of both arguments.  Any common suffix strictly below the
-        gcd admits such an atom extension, so the loop cannot stall early.
-        """
-        u = self.trivial
-        changed = True
-        while changed:
-            changed = False
-            for t in self.atoms:
-                if not self.leq(u, self.complement(t)):
-                    continue
-                v = self.prod(t, u)
-                if self.suffix_leq(v, a) and self.suffix_leq(v, b):
-                    u = v
-                    changed = True
-        return u
-
-    def join_simple(self, a, b):
-        """Least common multiple of two simples for the prefix order.
-
-        a <= c iff partial(c) is a suffix of partial(a), so
-        a v b = partial^-1(partial(a) /\\' partial(b)), where /\\' is the
-        greatest common suffix.
-        """
-        return self.complement_inv(
-            self.right_meet_simple(self.complement(a), self.complement(b))
-        )
-
-
-class ReverseStructure(GarsideStructure):
-    """The reverse Garside structure (G, P^-1, Delta^-1) of a base structure.
-
-    A simple element of the reverse structure is the inverse of a simple
-    element of the base structure; we reuse the base encoding, so the value
-    s here stands for the group element s^-1.  All operations are derived
-    from the base structure through that identification.
-    """
-
-    def __init__(self, base: GarsideStructure) -> None:
-        super().__init__()
-        self.base = base
-        self.name = base.name + "-reverse"
-        self.atoms = base.atoms
-        self.delta = base.delta
-        self.trivial = base.trivial
-        self.norm_of_delta = base.norm_of_delta
-        self.tau_order = base.tau_order
-
-    def leq(self, a, b) -> bool:
-        # s^-1 <= t^-1 in the reverse order iff t is a suffix of s... no:
-        # a^-1 <= b^-1 over P^-1 iff a b^-1 in P^-1 iff b a^-1 in P,
-        # i.e. b >= a in the base structure.
-        return self.base.suffix_leq(a, b)
-
-    def meet_simple(self, a, b):
-        return self.base.right_meet_simple(a, b)
-
-    def _complement(self, s):
-        # (s^-1)^-1 Delta^-1 = s Delta^-1 = (Delta s^-1)^-1
-        return self.base.complement_inv(s)
-
-    def _complement_inv(self, s):
-        return self.base.complement(s)
-
-    def prod(self, a, b):
-        # a^-1 b^-1 = (b a)^-1
-        return self.base.prod(b, a)
-
-    def lquot(self, s, b):
-        # (s^-1)^-1 b^-1 = s b^-1 = (b s^-1)^-1
-        return self.base.rquot(b, s)
-
-    def rquot(self, b, s):
-        return self.base.lquot(s, b)
-
-    def _norm(self, s) -> int:
-        return self.base.norm(s)
-
-    def simples(self) -> tuple:
-        return self.base.simples()
-
-    def simple_count(self) -> int:
-        return self.base.simple_count()
-
-    def sort_key(self, s):
-        return self.base.sort_key(s)
 
 
 @dataclass(frozen=True)
@@ -521,79 +426,3 @@ def conjugate_simple(x: GarsideElement, s) -> GarsideElement:
     p = x.p - 1 + _push_front(st, fs, q)
     p += _push_factor(st, fs, s)
     return _element(st, p, fs)
-
-
-def is_positive(x: GarsideElement) -> bool:
-    return x.p >= 0
-
-
-def prefix_leq(a: GarsideElement, b: GarsideElement) -> bool:
-    """a <= b in the prefix order, i.e. a^-1 b positive."""
-    return multiply(inverse(a), b).p >= 0
-
-
-def suffix_geq(a: GarsideElement, b: GarsideElement) -> bool:
-    """a >= b in the suffix order, i.e. a b^-1 positive."""
-    return multiply(a, inverse(b)).p >= 0
-
-
-def meet(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """Greatest common prefix of a and b.
-
-    Greedy atom extension from Delta^min(inf a, inf b); a common prefix
-    strictly below the gcd always extends by some atom toward it.
-    """
-    st = a.structure
-    u = delta_power(st, min(a.p, b.p))
-    changed = True
-    while changed:
-        changed = False
-        for t in st.atoms:
-            v = multiply(u, from_simple(st, t))
-            if prefix_leq(v, a) and prefix_leq(v, b):
-                u = v
-                changed = True
-    return u
-
-
-def right_meet(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """Greatest common suffix of a and b (the gcd for the >= order)."""
-    st = a.structure
-    u = delta_power(st, min(a.p, b.p))
-    changed = True
-    while changed:
-        changed = False
-        for t in st.atoms:
-            v = multiply(from_simple(st, t), u)
-            if suffix_geq(a, v) and suffix_geq(b, v):
-                u = v
-                changed = True
-    return u
-
-
-def join(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """Least common multiple for the prefix order: a v b = (a^-1 /\\' b^-1)^-1
-    where /\\' is the right meet."""
-    return inverse(right_meet(inverse(a), inverse(b)))
-
-
-def right_join(a: GarsideElement, b: GarsideElement) -> GarsideElement:
-    """Least common multiple for the suffix order: (a^-1 /\\ b^-1)^-1."""
-    return inverse(meet(inverse(a), inverse(b)))
-
-
-def reverse_rewrite(x: GarsideElement, target: GarsideStructure) -> GarsideElement:
-    """Rewrite x over target, where one of x.structure and target is the
-    :class:`ReverseStructure` of the other.
-
-    Each letter g is expressed through letters of the other structure:
-    g = (g^-1)^-1, and g^-1 is encoded there by the same simple value.  The
-    mapping is an involution on words, so it serves both directions.
-    """
-    st = x.structure
-    if not (isinstance(target, ReverseStructure) and target.base is st
-            or isinstance(st, ReverseStructure) and st.base is target):
-        raise ValueError("the structures are not reverses of one another")
-    # Delta^p over st is (target's Delta)^-p
-    word = [(target.delta, -x.p)] + [(f, -1) for f in x.factors]
-    return left_normal_form(target, word)

@@ -1,10 +1,12 @@
-"""Conjugacy dynamics: cycling, decycling, cyclic sliding and transport.
+"""Cyclic sliding: preferred prefixes, sliding trajectories, prefix
+products and rigidity.
 
-Everything here is a pure function of immutable elements.  The central
-operation is cyclic sliding: conjugation of x by its preferred prefix,
-the common prefix of the initial factors of x and x^-1.  Iterating it
-reaches a periodic circuit; the recurrent elements form the set of
-sliding circuits of the conjugacy class.
+Everything here is a pure function of immutable elements.  Cyclic sliding
+is conjugation of x by its preferred prefix, the common prefix of the
+initial factors of x and x^-1.  Iterating it reaches a periodic circuit;
+the recurrent elements form the set of sliding circuits of the conjugacy
+class.  Only left normal forms and left sliding are used; cycling,
+decycling, right sliding and transport are test oracles.
 """
 
 from __future__ import annotations
@@ -13,24 +15,17 @@ from dataclasses import dataclass
 
 from .core import (
     GarsideElement,
-    VerificationError,
-    conjugate,
     conjugate_simple,
-    delta_power,
     from_simple,
     identity_element,
-    inverse,
-    left_normal_form,
     multiply,
-    right_meet,
 )
 
 
 class TrajectoryCapExceeded(RuntimeError):
-    """Iterated sliding, cycling or decycling exceeded the configured
-    state cap.
+    """Iterated sliding exceeded the configured state cap.
 
-    These orbits are always eventually periodic, so hitting the
+    Sliding orbits are always eventually periodic, so hitting the
     cap indicates either an absurdly long transient or a bug; we abort
     loudly instead of looping.
     """
@@ -64,77 +59,6 @@ def preferred_prefix(x: GarsideElement):
 def cyclic_sliding(x: GarsideElement) -> GarsideElement:
     """s(x) = conjugate of x by its preferred prefix."""
     return conjugate_simple(x, preferred_prefix(x))
-
-
-def cycling(x: GarsideElement) -> GarsideElement:
-    """c(x) = x conjugated by iota(x); x itself when the canonical length
-    is zero (conjugation by Delta powers is trivial modulo tau)."""
-    if not x.factors:
-        return x
-    return conjugate_simple(x, initial_factor(x))
-
-
-def decycling(x: GarsideElement) -> GarsideElement:
-    """d(x) = x conjugated by phi(x)^-1; x itself at canonical length 0."""
-    if not x.factors:
-        return x
-    st = x.structure
-    xr = x.factors[-1]
-    # x^(x_r^-1) = x_r x x_r^-1 = Delta^p tau^p(x_r) x_1 ... x_{r-1}
-    word = [(st.tau_pow(xr, x.p), 1)] + [(f, 1) for f in x.factors[:-1]]
-    y = left_normal_form(st, word)
-    return GarsideElement(st, y.p + x.p, y.factors)
-
-
-def preferred_suffix(x: GarsideElement):
-    """The right-order analogue of the preferred prefix:
-    (Delta^{-inf} x) /\\' (Delta^{sup} x^-1) /\\' Delta, where /\\' is the
-    greatest common suffix."""
-    st = x.structure
-    if not x.factors:
-        return st.trivial
-    a = multiply(delta_power(st, -x.inf), x)
-    b = multiply(delta_power(st, x.sup), inverse(x))
-    r = right_meet(right_meet(a, b), delta_power(st, 1))
-    if r.p == 1:
-        return st.delta
-    if r.p != 0 or len(r.factors) > 1:
-        raise VerificationError("preferred suffix is not a simple element")
-    return r.factors[0] if r.factors else st.trivial
-
-
-def cyclic_right_sliding(x: GarsideElement) -> GarsideElement:
-    """Conjugate of x by the inverse of its preferred suffix."""
-    st = x.structure
-    s = preferred_suffix(x)
-    return conjugate(x, inverse(from_simple(st, s)))
-
-
-def transport(alpha: GarsideElement, x: GarsideElement) -> GarsideElement:
-    """Image of a conjugator alpha at x under one cyclic sliding:
-    p(x)^-1 alpha p(x^alpha)."""
-    st = x.structure
-    px = from_simple(st, preferred_prefix(x))
-    pxa = from_simple(st, preferred_prefix(conjugate(x, alpha)))
-    return multiply(multiply(inverse(px), alpha), pxa)
-
-
-def iterated_transport(alpha: GarsideElement, x: GarsideElement, i: int) -> GarsideElement:
-    """alpha^(i): transport repeated along the sliding trajectory of x."""
-    for _ in range(i):
-        alpha = transport(alpha, x)
-        x = cyclic_sliding(x)
-    return alpha
-
-
-def right_transport(alpha: GarsideElement, x: GarsideElement) -> GarsideElement:
-    """Right-sliding analogue: p'(x^(alpha^-1)) alpha p'(x)^-1 where p' is
-    the preferred suffix."""
-    st = x.structure
-    y = conjugate(x, inverse(alpha))
-    left = from_simple(st, preferred_suffix(y))
-    right = inverse(from_simple(st, preferred_suffix(x)))
-    return multiply(multiply(left, alpha), right)
 
 
 @dataclass(frozen=True)
@@ -190,17 +114,6 @@ def sliding_trajectory(x: GarsideElement, max_states: int = 10**6) -> SlidingTra
         cur = nxt
 
 
-def prefix_product(x: GarsideElement, i: int) -> GarsideElement:
-    """P_i(x) without precomputing a full trajectory."""
-    st = x.structure
-    out = identity_element(st)
-    for _ in range(i):
-        s = preferred_prefix(x)
-        out = multiply(out, from_simple(st, s))
-        x = conjugate_simple(x, s)
-    return out
-
-
 def prefix_products(x: GarsideElement, k: int) -> list:
     """[P_0(x), ..., P_k(x)] by one walk of k slidings from x."""
     st = x.structure
@@ -222,61 +135,6 @@ def slide_to_circuit(x: GarsideElement, max_states: int = 10**6):
     rep = traj.states[traj.entry_index]
     witness = traj.prefix_product(traj.entry_index)
     return rep, witness, traj
-
-
-@dataclass(frozen=True)
-class SummitInvariants:
-    inf_s: int
-    sup_s: int
-
-    @property
-    def ell_s(self) -> int:
-        return self.sup_s - self.inf_s
-
-
-def summit_invariants(x: GarsideElement, max_states: int = 10**6) -> SummitInvariants:
-    rep, _, _ = slide_to_circuit(x, max_states)
-    return SummitInvariants(rep.inf, rep.sup)
-
-
-def in_sc(x: GarsideElement, max_states: int = 10**6) -> bool:
-    """x lies on a sliding circuit iff iterated sliding returns to x."""
-    traj = sliding_trajectory(x, max_states)
-    return traj.entry_index == 0
-
-
-def in_sss(x: GarsideElement, max_states: int = 10**6) -> bool:
-    inv = summit_invariants(x, max_states)
-    return x.inf == inv.inf_s and x.sup == inv.sup_s
-
-
-def _returns(x: GarsideElement, step, max_states: int) -> bool:
-    """Does iterating step from x come back to x?  The orbit may hold at
-    most max_states states, as for a sliding trajectory."""
-    seen = {x}
-    cur = step(x)
-    while cur not in seen:
-        if len(seen) >= max_states:
-            raise TrajectoryCapExceeded(
-                f"orbit exceeded {max_states} states from {x!r}"
-            )
-        seen.add(cur)
-        cur = step(cur)
-    return cur == x
-
-
-def in_uss(x: GarsideElement, max_states: int = 10**6) -> bool:
-    """x is super summit and recurrent under cycling."""
-    return in_sss(x, max_states) and _returns(x, cycling, max_states)
-
-
-def in_rsss(x: GarsideElement, max_states: int = 10**6) -> bool:
-    """x is super summit and recurrent under both cycling and decycling."""
-    return (
-        in_sss(x, max_states)
-        and _returns(x, cycling, max_states)
-        and _returns(x, decycling, max_states)
-    )
 
 
 def is_rigid(x: GarsideElement) -> bool:

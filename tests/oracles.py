@@ -1,19 +1,323 @@
 """Desk-scale oracles that no command calls: minimal conjugators into the
-invariant sets by breadth-first search, and the conjugacy decision."""
+invariant sets by breadth-first search, the conjugacy decision, the
+greedy lattice operations on elements, the reverse structure with the
+right-handed variants of sliding and transport, cycling and decycling,
+and the membership tests for the invariant subsets of a class."""
 
 from garside.circuits import BudgetExceeded, solve_csp
 from garside.core import (
     GarsideElement,
+    GarsideStructure,
     VerificationError,
     conjugate,
+    conjugate_simple,
+    delta_power,
     from_simple,
     identity_element,
+    inverse,
+    left_normal_form,
     multiply,
 )
-from garside.sliding import in_sc, slide_to_circuit
+from garside.sliding import (
+    TrajectoryCapExceeded,
+    cyclic_sliding,
+    initial_factor,
+    preferred_prefix,
+    slide_to_circuit,
+    sliding_trajectory,
+)
 
 MAX_NORM = 20
 
+
+# -- right-handed simple operations and the reverse structure -----------------
+
+def suffix_leq(st: GarsideStructure, a, b) -> bool:
+    """True iff a is a suffix of b, i.e. b >= a."""
+    # b >= a  iff  partial^-1(b) <= partial^-1(a)
+    return st.leq(st.complement_inv(b), st.complement_inv(a))
+
+
+def right_meet_simple(st: GarsideStructure, a, b):
+    """Greatest common suffix of two simples.
+
+    Greedy: extend a common suffix u on the left by atoms while it stays
+    a suffix of both arguments.  Any common suffix strictly below the
+    gcd admits such an atom extension, so the loop cannot stall early.
+    """
+    u = st.trivial
+    changed = True
+    while changed:
+        changed = False
+        for t in st.atoms:
+            if not st.leq(u, st.complement(t)):
+                continue
+            v = st.prod(t, u)
+            if suffix_leq(st, v, a) and suffix_leq(st, v, b):
+                u = v
+                changed = True
+    return u
+
+
+class ReverseStructure(GarsideStructure):
+    """The reverse Garside structure (G, P^-1, Delta^-1) of a base structure.
+
+    A simple element of the reverse structure is the inverse of a simple
+    element of the base structure; we reuse the base encoding, so the value
+    s here stands for the group element s^-1.  All operations are derived
+    from the base structure through that identification.
+    """
+
+    def __init__(self, base: GarsideStructure) -> None:
+        super().__init__()
+        self.base = base
+        self.name = base.name + "-reverse"
+        self.atoms = base.atoms
+        self.delta = base.delta
+        self.trivial = base.trivial
+        self.norm_of_delta = base.norm_of_delta
+        self.tau_order = base.tau_order
+
+    def leq(self, a, b) -> bool:
+        # a^-1 <= b^-1 over P^-1 iff a b^-1 in P^-1 iff b a^-1 in P,
+        # i.e. b >= a in the base structure.
+        return suffix_leq(self.base, a, b)
+
+    def meet_simple(self, a, b):
+        return right_meet_simple(self.base, a, b)
+
+    def _complement(self, s):
+        # (s^-1)^-1 Delta^-1 = s Delta^-1 = (Delta s^-1)^-1
+        return self.base.complement_inv(s)
+
+    def _complement_inv(self, s):
+        return self.base.complement(s)
+
+    def prod(self, a, b):
+        # a^-1 b^-1 = (b a)^-1
+        return self.base.prod(b, a)
+
+    def lquot(self, s, b):
+        # (s^-1)^-1 b^-1 = s b^-1 = (b s^-1)^-1, and with b = u s,
+        # b s^-1 = u = partial^-1(s partial(b)) since s b^-1 Delta = u^-1 Delta
+        base = self.base
+        return base.complement_inv(base.prod(s, base.complement(b)))
+
+    def _norm(self, s) -> int:
+        return self.base.norm(s)
+
+    def simples(self) -> tuple:
+        return self.base.simples()
+
+    def simple_count(self) -> int:
+        return self.base.simple_count()
+
+    def sort_key(self, s):
+        return self.base.sort_key(s)
+
+
+def reverse_rewrite(x: GarsideElement, target: GarsideStructure) -> GarsideElement:
+    """Rewrite x over target, where one of x.structure and target is the
+    :class:`ReverseStructure` of the other.
+
+    Each letter g is expressed through letters of the other structure:
+    g = (g^-1)^-1, and g^-1 is encoded there by the same simple value.  The
+    mapping is an involution on words, so it serves both directions.
+    """
+    st = x.structure
+    if not (isinstance(target, ReverseStructure) and target.base is st
+            or isinstance(st, ReverseStructure) and st.base is target):
+        raise ValueError("the structures are not reverses of one another")
+    # Delta^p over st is (target's Delta)^-p
+    word = [(target.delta, -x.p)] + [(f, -1) for f in x.factors]
+    return left_normal_form(target, word)
+
+
+# -- greedy lattice operations on elements --------------------------------------
+
+def prefix_leq(a: GarsideElement, b: GarsideElement) -> bool:
+    """a <= b in the prefix order, i.e. a^-1 b positive."""
+    return multiply(inverse(a), b).p >= 0
+
+
+def suffix_geq(a: GarsideElement, b: GarsideElement) -> bool:
+    """a >= b in the suffix order, i.e. a b^-1 positive."""
+    return multiply(a, inverse(b)).p >= 0
+
+
+def meet(a: GarsideElement, b: GarsideElement) -> GarsideElement:
+    """Greatest common prefix of a and b.
+
+    Greedy atom extension from Delta^min(inf a, inf b); a common prefix
+    strictly below the gcd always extends by some atom toward it.
+    """
+    st = a.structure
+    u = delta_power(st, min(a.p, b.p))
+    changed = True
+    while changed:
+        changed = False
+        for t in st.atoms:
+            v = multiply(u, from_simple(st, t))
+            if prefix_leq(v, a) and prefix_leq(v, b):
+                u = v
+                changed = True
+    return u
+
+
+def right_meet(a: GarsideElement, b: GarsideElement) -> GarsideElement:
+    """Greatest common suffix of a and b (the gcd for the >= order)."""
+    st = a.structure
+    u = delta_power(st, min(a.p, b.p))
+    changed = True
+    while changed:
+        changed = False
+        for t in st.atoms:
+            v = multiply(from_simple(st, t), u)
+            if suffix_geq(a, v) and suffix_geq(b, v):
+                u = v
+                changed = True
+    return u
+
+
+def join(a: GarsideElement, b: GarsideElement) -> GarsideElement:
+    """Least common multiple for the prefix order: a v b = (a^-1 /\\' b^-1)^-1
+    where /\\' is the right meet."""
+    return inverse(right_meet(inverse(a), inverse(b)))
+
+
+def right_join(a: GarsideElement, b: GarsideElement) -> GarsideElement:
+    """Least common multiple for the suffix order: (a^-1 /\\ b^-1)^-1."""
+    return inverse(meet(inverse(a), inverse(b)))
+
+
+# -- cycling, decycling, right sliding and transport ----------------------------
+
+def cycling(x: GarsideElement) -> GarsideElement:
+    """c(x) = x conjugated by iota(x); x itself when the canonical length
+    is zero (conjugation by Delta powers is trivial modulo tau)."""
+    if not x.factors:
+        return x
+    return conjugate_simple(x, initial_factor(x))
+
+
+def decycling(x: GarsideElement) -> GarsideElement:
+    """d(x) = x conjugated by phi(x)^-1; x itself at canonical length 0."""
+    if not x.factors:
+        return x
+    st = x.structure
+    xr = x.factors[-1]
+    # x^(x_r^-1) = x_r x x_r^-1 = Delta^p tau^p(x_r) x_1 ... x_{r-1}
+    word = [(st.tau_pow(xr, x.p), 1)] + [(f, 1) for f in x.factors[:-1]]
+    y = left_normal_form(st, word)
+    return GarsideElement(st, y.p + x.p, y.factors)
+
+
+def preferred_suffix(x: GarsideElement):
+    """The right-order analogue of the preferred prefix:
+    (Delta^{-inf} x) /\\' (Delta^{sup} x^-1) /\\' Delta, where /\\' is the
+    greatest common suffix."""
+    st = x.structure
+    if not x.factors:
+        return st.trivial
+    a = multiply(delta_power(st, -x.inf), x)
+    b = multiply(delta_power(st, x.sup), inverse(x))
+    r = right_meet(right_meet(a, b), delta_power(st, 1))
+    if r.p == 1:
+        return st.delta
+    if r.p != 0 or len(r.factors) > 1:
+        raise VerificationError("preferred suffix is not a simple element")
+    return r.factors[0] if r.factors else st.trivial
+
+
+def cyclic_right_sliding(x: GarsideElement) -> GarsideElement:
+    """Conjugate of x by the inverse of its preferred suffix."""
+    st = x.structure
+    s = preferred_suffix(x)
+    return conjugate(x, inverse(from_simple(st, s)))
+
+
+def transport(alpha: GarsideElement, x: GarsideElement) -> GarsideElement:
+    """Image of a conjugator alpha at x under one cyclic sliding:
+    p(x)^-1 alpha p(x^alpha)."""
+    st = x.structure
+    px = from_simple(st, preferred_prefix(x))
+    pxa = from_simple(st, preferred_prefix(conjugate(x, alpha)))
+    return multiply(multiply(inverse(px), alpha), pxa)
+
+
+def iterated_transport(alpha: GarsideElement, x: GarsideElement, i: int) -> GarsideElement:
+    """alpha^(i): transport repeated along the sliding trajectory of x."""
+    for _ in range(i):
+        alpha = transport(alpha, x)
+        x = cyclic_sliding(x)
+    return alpha
+
+
+def right_transport(alpha: GarsideElement, x: GarsideElement) -> GarsideElement:
+    """Right-sliding analogue: p'(x^(alpha^-1)) alpha p'(x)^-1 where p' is
+    the preferred suffix."""
+    st = x.structure
+    y = conjugate(x, inverse(alpha))
+    left = from_simple(st, preferred_suffix(y))
+    right = inverse(from_simple(st, preferred_suffix(x)))
+    return multiply(multiply(left, alpha), right)
+
+
+def prefix_product(x: GarsideElement, i: int) -> GarsideElement:
+    """P_i(x) without precomputing a full trajectory."""
+    st = x.structure
+    out = identity_element(st)
+    for _ in range(i):
+        s = preferred_prefix(x)
+        out = multiply(out, from_simple(st, s))
+        x = conjugate_simple(x, s)
+    return out
+
+
+# -- membership in the invariant subsets of a class -----------------------------
+
+def in_sc(x: GarsideElement, max_states: int = 10**6) -> bool:
+    """x lies on a sliding circuit iff iterated sliding returns to x."""
+    traj = sliding_trajectory(x, max_states)
+    return traj.entry_index == 0
+
+
+def in_sss(x: GarsideElement, max_states: int = 10**6) -> bool:
+    """x has the summit inf and sup of its class, those of its circuit."""
+    rep, _, _ = slide_to_circuit(x, max_states)
+    return x.inf == rep.inf and x.sup == rep.sup
+
+
+def _returns(x: GarsideElement, step, max_states: int) -> bool:
+    """Does iterating step from x come back to x?  The orbit may hold at
+    most max_states states, as for a sliding trajectory."""
+    seen = {x}
+    cur = step(x)
+    while cur not in seen:
+        if len(seen) >= max_states:
+            raise TrajectoryCapExceeded(
+                f"orbit exceeded {max_states} states from {x!r}"
+            )
+        seen.add(cur)
+        cur = step(cur)
+    return cur == x
+
+
+def in_uss(x: GarsideElement, max_states: int = 10**6) -> bool:
+    """x is super summit and recurrent under cycling."""
+    return in_sss(x, max_states) and _returns(x, cycling, max_states)
+
+
+def in_rsss(x: GarsideElement, max_states: int = 10**6) -> bool:
+    """x is super summit and recurrent under both cycling and decycling."""
+    return (
+        in_sss(x, max_states)
+        and _returns(x, cycling, max_states)
+        and _returns(x, decycling, max_states)
+    )
+
+
+# -- minimal conjugators and the conjugacy decision -----------------------------
 
 def minimal_conjugator(x: GarsideElement, member, max_norm: int = MAX_NORM) -> GarsideElement:
     """Breadth-first search over positive elements ordered by letter norm

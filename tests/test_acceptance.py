@@ -21,21 +21,13 @@ from garside.core import (
     identity_element,
     inverse,
     left_normal_form,
-    meet,
     multiply,
-    prefix_leq,
 )
 from garside.experiments import enumerate_length_one_classes, row_to_csv, statistics_row
-from garside.sliding import (
-    cyclic_sliding,
-    is_rigid,
-    preferred_prefix,
-    prefix_product,
-    transport,
-)
+from garside.sliding import cyclic_sliding, is_rigid, preferred_prefix
 
 from conftest import random_element, random_word, structures_for_properties
-from oracles import minimal_sc_conjugator
+from oracles import minimal_sc_conjugator, prefix_leq, prefix_product, transport
 
 
 def el(st, ks):

@@ -12,9 +12,10 @@ from garside.artin import (
     _invert,
     artin_structure,
 )
-from garside.core import from_simple, left_normal_form, prefix_leq
+from garside.core import from_simple, left_normal_form
 
 from conftest import greedy_meet_simple
+from oracles import prefix_leq
 
 
 def test_descriptor_basics():

@@ -26,21 +26,14 @@ from garside.core import (
     from_simple,
     identity_element,
     inverse,
-    join,
     left_normal_form,
-    meet,
     multiply,
     power,
-    prefix_leq,
 )
 from garside.sliding import (
     cyclic_sliding,
-    in_sc,
-    in_sss,
     is_rigid,
-    iterated_transport,
     preferred_prefix,
-    prefix_product,
     prefix_products,
     slide_to_circuit,
     sliding_trajectory,
@@ -53,9 +46,16 @@ from conftest import (
     sss_with_witnesses,
 )
 from oracles import (
+    in_sc,
+    in_sss,
+    iterated_transport,
+    join,
+    meet,
     minimal_conjugator,
     minimal_sc_conjugator,
     minimal_sss_conjugator,
+    prefix_leq,
+    prefix_product,
     solve_cdp,
 )
 
@@ -503,7 +503,7 @@ def test_mu_bijection_counts_b4():
 
 
 def test_membership_chain_on_length_one_classes_b4():
-    from garside.sliding import in_rsss, in_uss
+    from oracles import in_rsss, in_uss
 
     st = artin_structure(4)
     covered = set()

@@ -5,11 +5,9 @@ from itertools import permutations
 
 import pytest
 
-from garside.artin import artin_structure
-from garside.bkl import bkl_structure
+from garside.artin import _compose, _invert, artin_structure
+from garside.bkl import BKLStructure, bkl_structure
 from garside.core import (
-    GarsideStructure,
-    ReverseStructure,
     _push_factor,
     _push_front,
     conjugate_simple,
@@ -17,16 +15,9 @@ from garside.core import (
     from_simple,
     identity_element,
     inverse,
-    join,
     left_normal_form,
-    meet,
     multiply,
     power,
-    prefix_leq,
-    reverse_rewrite,
-    right_join,
-    right_meet,
-    suffix_geq,
 )
 
 from garside.words import band_to_sigma_word
@@ -39,6 +30,18 @@ from conftest import (
     stepwise_push_factor,
     structures_for_properties,
     wave_corpus,
+)
+from oracles import (
+    ReverseStructure,
+    join,
+    meet,
+    prefix_leq,
+    reverse_rewrite,
+    right_join,
+    right_meet,
+    right_meet_simple,
+    suffix_geq,
+    suffix_leq,
 )
 
 
@@ -330,12 +333,12 @@ def test_right_meet_agrees_with_brute_force_suffixes():
         for b in simples:
             common = [
                 s for s in simples
-                if st.suffix_leq(s, a) and st.suffix_leq(s, b)
+                if suffix_leq(st, s, a) and suffix_leq(st, s, b)
             ]
             best = max(common, key=st.norm)
             # the maximum is unique: everything else divides it
-            assert all(st.suffix_leq(s, best) for s in common)
-            assert st.right_meet_simple(a, b) == best
+            assert all(suffix_leq(st, s, best) for s in common)
+            assert right_meet_simple(st, a, b) == best
             assert right_meet(from_simple(st, a), from_simple(st, b)) == \
                 from_simple(st, best)
 
@@ -398,6 +401,32 @@ def test_reverse_structure_contract():
                 for c in rev.simples():
                     if rev.leq(c, a) and rev.leq(c, b):
                         assert rev.leq(c, m)
+
+
+def test_reverse_quotient_is_the_base_right_quotient():
+    """The reverse structure's lquot(s, b) = partial^-1(s partial(b)) is the
+    base right quotient b s^-1, read off the permutations, on every pair
+    where s is a suffix of b."""
+    pairs = 0
+    for base in [artin_structure(n) for n in (2, 3, 4, 5)] + [
+        bkl_structure(n) for n in (2, 3, 4, 5, 6)
+    ]:
+        rev = ReverseStructure(base)
+        if isinstance(base, BKLStructure):
+            def right_quotient(b, s):
+                return base.from_perm(_compose(base.to_perm(b), base._perm_inv(s)))
+        else:
+            def right_quotient(b, s):
+                return _compose(b, _invert(s))
+        simples = base.simples()
+        for b in simples:
+            for s in simples:
+                if suffix_leq(base, s, b):
+                    assert rev.lquot(s, b) == right_quotient(b, s)
+                    pairs += 1
+    # intervals of the weak order (n <= 5) and of the non-crossing
+    # partition lattice (n <= 6)
+    assert pairs == 2070 + 1771
 
 
 def test_norm_additivity_on_positive_words(rng):
@@ -497,7 +526,7 @@ def test_join_simple_matches_complement_definition():
             ca = st.complement(a)
             for b in simples:
                 j = st.join_simple(a, b)
-                generic = GarsideStructure.right_meet_simple(st, ca, st.complement(b))
+                generic = right_meet_simple(st, ca, st.complement(b))
                 assert j == st.complement_inv(generic)
                 assert st.leq(a, j) and st.leq(b, j)
         if st.n <= 4:

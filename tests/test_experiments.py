@@ -14,7 +14,8 @@ from garside.experiments import (
     row_to_csv,
     statistics_row,
 )
-from garside.sliding import in_sc
+
+from oracles import in_sc
 
 
 def test_class_partition_b4():

@@ -8,7 +8,6 @@ from garside.artin import artin_structure
 from garside.bkl import bkl_structure
 from garside.core import (
     GarsideElement,
-    ReverseStructure,
     conjugate,
     conjugate_simple,
     delta_power,
@@ -16,37 +15,40 @@ from garside.core import (
     identity_element,
     inverse,
     left_normal_form,
-    meet,
     multiply,
-    prefix_leq,
-    reverse_rewrite,
-    suffix_geq,
 )
 from garside.sliding import (
     TrajectoryCapExceeded,
-    cyclic_right_sliding,
     cyclic_sliding,
+    final_factor,
+    initial_factor,
+    is_rigid,
+    preferred_prefix,
+    prefix_products,
+    slide_to_circuit,
+    sliding_trajectory,
+)
+
+from conftest import random_element, structures_for_properties
+from oracles import (
+    ReverseStructure,
+    cyclic_right_sliding,
     cycling,
     decycling,
-    final_factor,
     in_rsss,
     in_sc,
     in_sss,
     in_uss,
-    initial_factor,
-    is_rigid,
     iterated_transport,
-    preferred_prefix,
+    meet,
+    prefix_leq,
     preferred_suffix,
     prefix_product,
-    prefix_products,
+    reverse_rewrite,
     right_transport,
-    slide_to_circuit,
-    sliding_trajectory,
+    suffix_geq,
     transport,
 )
-
-from conftest import random_element, structures_for_properties
 
 
 def el(st, ks):

@@ -453,6 +453,28 @@ def test_cli_slidings_are_bounded(capsys):
         assert code == 0
 
 
+def test_cli_refuses_negative_budgets(capsys):
+    """A negative budget is bad input (exit 2), not an exhausted budget."""
+    for flag in ("--max-vertices", "--max-set-size", "--max-trajectory"):
+        for argv in (["nf", "s1"], ["table", "--n", "4"]):
+            code, out, err = run_cli(capsys, [flag, "-1", *argv])
+            assert (code, out) == (2, "")
+            assert flag in err and len(err.splitlines()) == 1
+
+
+def test_cli_table_refuses_two_strands_before_enumerating(capsys, monkeypatch):
+    """B_2 has no simple strictly between 1 and Delta, so it has no
+    length-1 class to report."""
+    for structure, st in (("artin", artin_structure(2)), ("bkl", bkl_structure(2))):
+        def enumerate_simples():
+            raise AssertionError("simples enumerated")
+
+        monkeypatch.setattr(st, "simples", enumerate_simples)
+        code, out, err = run_cli(capsys, ["--structure", structure, "--n", "2", "table"])
+        assert (code, out) == (2, "")
+        assert "--n 3" in err and len(err.splitlines()) == 1
+
+
 def test_cli_deterministic_output(capsys):
     for argv in (["sc", "s1 s2 s3"], ["scg", "s1 s2 s3"],
                  ["table", "--n", "4"]):
