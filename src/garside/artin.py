@@ -147,17 +147,6 @@ class ArtinStructure(GarsideStructure):
     def simple_count(self) -> int:
         return factorial(self.n)
 
-    def word_to_simple(self, word) -> tuple:
-        """Product of atoms sigma_k for k in word, as a permutation.
-
-        No check that the word is reduced; callers wanting a simple braid
-        must pass a reduced word.
-        """
-        s = self.trivial
-        for k in word:
-            s = _compose(s, self.atom(k))
-        return s
-
     def simple_to_word(self, s) -> list:
         """Canonical reduced word for a permutation braid.
 

@@ -208,20 +208,25 @@ class BKLStructure(GarsideStructure):
         return self.n - len(set(s))
 
     def simples(self) -> tuple:
+        """The Catalan(n) non-crossing partitions, generated directly in
+        sorted order: a depth-first walk in label order keeps the stack of
+        blocks that are still open.  Position i may join any open block b,
+        which closes the blocks above b (a later element of one would cross
+        b), or start a new block on top."""
         if self._simples is None:
-            # at this scale, filtering all set partitions is fine
-            out = set()
-            stack = [((), 0)]
-            while stack:
-                labels, nblocks = stack.pop()
-                i = len(labels)
-                if i == self.n:
-                    if is_noncrossing(labels):
-                        out.add(labels)
-                    continue
-                for lab in range(nblocks + 1):
-                    stack.append((labels + (lab,), max(nblocks, lab + 1)))
-            self._simples = tuple(sorted(out))
+            n = self.n
+            out = []
+
+            def walk(labels: tuple, open_: tuple, blocks: int) -> None:
+                if len(labels) == n:
+                    out.append(labels)
+                    return
+                for k, b in enumerate(open_):
+                    walk(labels + (b,), open_[: k + 1], blocks)
+                walk(labels + (blocks,), open_ + (blocks,), blocks + 1)
+
+            walk((), (), 0)
+            self._simples = tuple(out)
         return self._simples
 
     def simple_count(self) -> int:

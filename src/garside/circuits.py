@@ -35,6 +35,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from .core import (
+    BudgetExceeded,
+    Budgets,
     GarsideElement,
     GarsideStructure,
     VerificationError,
@@ -45,23 +47,6 @@ from .core import (
     multiply,
 )
 from .sliding import slide_to_circuit, sliding_trajectory
-
-
-class BudgetExceeded(RuntimeError):
-    """A configured enumeration budget ran out.
-
-    Distinct from any mathematical outcome: the computation was cut short
-    and nothing can be concluded from partial results.
-    """
-
-
-@dataclass
-class Budgets:
-    """Caps for the enumerative algorithms; exhaustion raises BudgetExceeded."""
-
-    max_vertices: int = 100_000
-    max_set_size: int = 1_000_000
-    max_trajectory_states: int = 1_000_000
 
 
 def check_simples_budget(st: GarsideStructure, budgets: Budgets) -> None:
@@ -146,22 +131,20 @@ def indecomposable_conjugators(y: GarsideElement, member) -> list:
         # success sits strictly below it (i.e. it is minimal overall)
         if all(c2 == c or not leq(c2, c) for c2 in found) and c not in out:
             out.append(c)
-    out.sort(key=st.sort_key)
+    out.sort()
     return out
 
 
 @dataclass
 class SlidingCircuitsGraph:
-    """Vertices are the sliding-circuit conjugates of base; arrows the
-    indecomposable simple conjugators between them."""
+    """Vertices are the sliding-circuit conjugates of base, sorted by
+    `GarsideElement.sort_key`; arrows the indecomposable simple conjugators
+    between them."""
 
     base: GarsideElement
     vertices: list = field(default_factory=list)
     arrows: list = field(default_factory=list)  # (source, conjugator, target)
     witness_to_base: dict = field(default_factory=dict)
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
 
 def compute_scg(
@@ -218,10 +201,6 @@ def compute_scg(
         if conjugate(x, w) != v:
             raise VerificationError("witness bookkeeping broke")
     return graph
-
-
-def sliding_circuit_set(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
-    return compute_scg(x, budgets).vertex_set()
 
 
 @dataclass(frozen=True)

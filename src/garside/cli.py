@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Exit codes: 0 success (and "conjugate" for conj), 1 not conjugate,
-2 usage or parse error (bad input), 3 enumeration budget exhausted, 4 a
-check that guards an answer failed, 5 any other internal error.  Codes 4
-and 5 are program faults: a one-line message goes to stderr and no answer
-is printed.
+2 usage or parse error (bad input: WordError), 3 a budget exhausted
+(BudgetExceeded, for an enumeration or a sliding trajectory), 4 a check
+that guards an answer failed, 5 any other internal error.  Codes 4 and 5
+are program faults: a one-line message goes to stderr and no answer is
+printed.
 """
 
 from __future__ import annotations
@@ -16,27 +17,15 @@ import sys
 
 from .artin import artin_structure
 from .bkl import bkl_structure
-from .circuits import (
-    Budgets,
-    BudgetExceeded,
-    compute_scg,
-    sliding_circuit_set,
-    solve_csp,
-)
-from .core import VerificationError, conjugate
+from .circuits import compute_scg, solve_csp
+from .core import BudgetExceeded, Budgets, VerificationError, conjugate
 from .experiments import (
     emit_csv,
     emit_json,
     enumerate_length_one_classes,
     statistics_row,
 )
-from .sliding import (
-    TrajectoryCapExceeded,
-    cyclic_sliding,
-    is_rigid,
-    prefix_products,
-    sliding_trajectory,
-)
+from .sliding import cyclic_sliding, is_rigid, prefix_products, sliding_trajectory
 from .words import WordError, element_to_json, parse_word, render_element, render_simple
 
 EXIT_OK = 0
@@ -116,14 +105,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # parent-parser actions and clobber flags given before the subcommand
 _DEFAULTS = {
     "structure": "artin", "n": 4, "format": "text",
-    "max_vertices": 100_000, "max_set_size": 1_000_000,
-    "max_trajectory": 1_000_000,
+    "max_vertices": Budgets.max_vertices,
+    "max_set_size": Budgets.max_set_size,
+    "max_trajectory": Budgets.max_trajectory_states,
 }
 
 
 def _structure(args):
     if args.n < 2:
-        raise WordError("need at least 2 strands", 0)
+        raise WordError("need at least 2 strands")
     # the constructors build n-1 atoms (classical) or n(n-1)/2 atoms (dual)
     # of n entries each; bound that before allocating it
     n = args.n
@@ -141,7 +131,7 @@ def _budgets(args) -> Budgets:
         value = getattr(args, flag)
         if value < 0:
             flag = "--" + flag.replace("_", "-")
-            raise WordError(f"{flag} must be non-negative, got {value}", 0)
+            raise WordError(f"{flag} must be non-negative, got {value}")
     return Budgets(
         max_vertices=args.max_vertices,
         max_set_size=args.max_set_size,
@@ -153,7 +143,7 @@ def _slidings(args) -> int:
     """The -k of slide and rigid: k slidings, refused past the trajectory
     budget before any is done."""
     if args.k < 0:
-        raise WordError(f"-k must be non-negative, got {args.k}", 0)
+        raise WordError(f"-k must be non-negative, got {args.k}")
     if args.k > args.max_trajectory:
         raise BudgetExceeded(
             f"-k {args.k} slidings exceed --max-trajectory {args.max_trajectory}"
@@ -177,7 +167,7 @@ def main(argv=None) -> int:
     except WordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (BudgetExceeded, TrajectoryCapExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except VerificationError as exc:
@@ -223,7 +213,7 @@ def _dispatch(args) -> int:
 
     if args.command == "sc":
         x = parse_word(st, args.word)
-        vertices = sorted(sliding_circuit_set(x, budgets), key=lambda v: v.sort_key())
+        vertices = compute_scg(x, budgets).vertices
         if args.format == "json":
             print(json.dumps([element_to_json(v) for v in vertices]))
         else:
@@ -234,8 +224,8 @@ def _dispatch(args) -> int:
     if args.command == "scg":
         x = parse_word(st, args.word)
         graph = compute_scg(x, budgets)
+        index = {v: i for i, v in enumerate(graph.vertices)}
         if args.format == "json":
-            index = {v: i for i, v in enumerate(graph.vertices)}
             print(json.dumps({
                 "vertices": [element_to_json(v) for v in graph.vertices],
                 "arrows": [
@@ -246,11 +236,7 @@ def _dispatch(args) -> int:
         else:
             for i, v in enumerate(graph.vertices):
                 print(f"v{i}: {render_element(v)}")
-            index = {v: i for i, v in enumerate(graph.vertices)}
-            for a, c, b in sorted(
-                graph.arrows,
-                key=lambda arrow: (index[arrow[0]], st.sort_key(arrow[1])),
-            ):
+            for a, c, b in sorted(graph.arrows, key=lambda arrow: (index[arrow[0]], arrow[1])):
                 print(f"v{index[a]} --[{render_simple(st, c)}]--> v{index[b]}")
         return EXIT_OK
 
@@ -273,7 +259,7 @@ def _dispatch(args) -> int:
     if args.command == "table":
         if args.n < 3:
             raise WordError("table needs --n 3 or more: B_2 has no simple "
-                            "strictly between 1 and Delta", 0)
+                            "strictly between 1 and Delta")
         classes = enumerate_length_one_classes(st, args.inf, budgets)
         row = statistics_row(args.structure, args.n, args.inf, classes)
         if args.format == "json":

@@ -24,6 +24,26 @@ class VerificationError(RuntimeError):
     """
 
 
+class BudgetExceeded(RuntimeError):
+    """A configured budget ran out: an enumeration outgrew its cap, or a
+    sliding trajectory its state cap.
+
+    Distinct from any mathematical outcome: the computation was cut short
+    and nothing can be concluded from partial results.
+    """
+
+
+@dataclass
+class Budgets:
+    """Caps for the enumerative algorithms and for sliding trajectories;
+    exhaustion raises BudgetExceeded.  The class defaults are the defaults
+    of the library functions and of the CLI flags."""
+
+    max_vertices: int = 100_000
+    max_set_size: int = 1_000_000
+    max_trajectory_states: int = 10**6
+
+
 class GarsideStructure:
     """Contract a concrete finite-type Garside structure must satisfy.
 
@@ -93,16 +113,13 @@ class GarsideStructure:
         raise NotImplementedError
 
     def simples(self) -> tuple:
-        """All simple elements, in the canonical total order."""
+        """All simple elements, sorted: the canonical total order on simples
+        is the order of their encodings as tuples."""
         raise NotImplementedError
 
     def simple_count(self) -> int:
         """Number of simple elements, known without enumerating them."""
         raise NotImplementedError
-
-    def sort_key(self, s):
-        """Key realizing the canonical total order on simples."""
-        return s
 
     def simples_by_norm(self) -> list:
         """The nontrivial simples in increasing norm, ties in the canonical
@@ -162,14 +179,6 @@ class GarsideStructure:
                 s = self.tau(s)
         return s
 
-    def complement_pow(self, s, k: int):
-        """k-th power of the complement map; partial^2 = tau."""
-        k %= 2 * self.tau_order
-        s = self.tau_pow(s, k // 2)
-        if k % 2:
-            s = self.complement(s)
-        return s
-
 
 @dataclass(frozen=True)
 class GarsideElement:
@@ -196,8 +205,7 @@ class GarsideElement:
         return len(self.factors)
 
     def sort_key(self):
-        st = self.structure
-        return (self.p, len(self.factors), tuple(st.sort_key(f) for f in self.factors))
+        return (self.p, len(self.factors), self.factors)
 
     def __repr__(self) -> str:
         return f"<{self.structure.name}: p={self.p} factors={list(self.factors)}>"
@@ -378,12 +386,13 @@ def multiply(x: GarsideElement, y: GarsideElement) -> GarsideElement:
 
 def inverse(x: GarsideElement) -> GarsideElement:
     """Normal form of x^-1 by the closed formula: for x = Delta^p x_1...x_r,
-    x^-1 = Delta^-(p+r) partial^(-2(p+r)+1)(x_r) ... partial^(-2(p+1)+1)(x_1).
+    x^-1 = Delta^-(p+r) partial^(-2(p+r)+1)(x_r) ... partial^(-2(p+1)+1)(x_1),
+    where partial^(-2m+1) = partial tau^-m since partial^2 = tau.
     """
     st = x.structure
     r = len(x.factors)
     fs = [
-        st.complement_pow(x.factors[r - 1 - j], -2 * (x.p + r - j) + 1)
+        st.complement(st.tau_pow(x.factors[r - 1 - j], -(x.p + r - j)))
         for j in range(r)
     ]
     return _element(st, -(x.p + r), fs)

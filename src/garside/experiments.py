@@ -15,15 +15,17 @@ summit set, so it is read off the latter by the membership test.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .circuits import (
+from .circuits import check_simples_budget, compute_sss, sliding_circuits_in_sss
+from .core import (
     Budgets,
-    check_simples_budget,
-    compute_sss,
-    sliding_circuits_in_sss,
+    GarsideElement,
+    GarsideStructure,
+    delta_power,
+    from_simple,
+    multiply,
 )
-from .core import GarsideElement, GarsideStructure, delta_power, from_simple, multiply
 from .sliding import slide_to_circuit
 
 
@@ -90,7 +92,9 @@ def statistics_row(
     structure_label: str, n: int, i: int, classes: list
 ) -> StatisticsRow:
     """Aggregate a class list; element means weight each class by its
-    super-summit-set size."""
+    super-summit-set size.  An empty class list has no row."""
+    if not classes:
+        raise ValueError(f"no row for {structure_label} n={n} i={i}: empty class list")
     k = len(classes)
     total_sss = sum(c.sss_size for c in classes)
     return StatisticsRow(
@@ -110,37 +114,18 @@ def statistics_row(
     )
 
 
-CSV_HEADER = (
-    "structure,n,i,classes,max_sss,max_sc,max_ratio,"
-    "cmean_sss,cmean_sc,cmean_ratio,emean_sss,emean_sc,emean_ratio"
-)
+COLUMNS = tuple(f.name for f in fields(StatisticsRow))
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def _fmt(v) -> str:
-    """Numbers to 6 significant digits, integers without a decimal point."""
-    if isinstance(v, int):
-        return str(v)
-    return format(v, ".6g")
+    """Floats to 6 significant digits; integers and the structure label as
+    they are."""
+    return format(v, ".6g") if isinstance(v, float) else str(v)
 
 
 def row_to_csv(row: StatisticsRow) -> str:
-    return ",".join(
-        [
-            row.structure,
-            str(row.n),
-            str(row.i),
-            str(row.classes),
-            str(row.max_sss),
-            str(row.max_sc),
-            _fmt(row.max_ratio),
-            _fmt(row.cmean_sss),
-            _fmt(row.cmean_sc),
-            _fmt(row.cmean_ratio),
-            _fmt(row.emean_sss),
-            _fmt(row.emean_sc),
-            _fmt(row.emean_ratio),
-        ]
-    )
+    return ",".join(_fmt(getattr(row, c)) for c in COLUMNS)
 
 
 def emit_csv(rows: list) -> str:
@@ -148,12 +133,7 @@ def emit_csv(rows: list) -> str:
 
 
 def emit_json(rows: list) -> str:
-    out = []
-    for r in rows:
-        d = {"structure": r.structure, "n": r.n, "i": r.i, "classes": r.classes,
-             "max_sss": r.max_sss, "max_sc": r.max_sc}
-        for name in ("max_ratio", "cmean_sss", "cmean_sc", "cmean_ratio",
-                     "emean_sss", "emean_sc", "emean_ratio"):
-            d[name] = float(_fmt(getattr(r, name)))
-        out.append(d)
+    """Rows as JSON objects, floats rounded as in the CSV."""
+    out = [{c: float(_fmt(v)) if isinstance(v, float) else v for c, v in asdict(r).items()}
+           for r in rows]
     return json.dumps(out, indent=2) + "\n"

@@ -7,6 +7,10 @@ initial factors of x and x^-1.  Iterating it reaches a periodic circuit;
 the recurrent elements form the set of sliding circuits of the conjugacy
 class.  Only left normal forms and left sliding are used; cycling,
 decycling, right sliding and transport are test oracles.
+
+A trajectory may hold at most a given number of states, by default
+``Budgets.max_trajectory_states``; past it, :class:`BudgetExceeded` is
+raised, the one error of every budget.
 """
 
 from __future__ import annotations
@@ -14,21 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    BudgetExceeded,
+    Budgets,
     GarsideElement,
     conjugate_simple,
     from_simple,
     identity_element,
     multiply,
 )
-
-
-class TrajectoryCapExceeded(RuntimeError):
-    """Iterated sliding exceeded the configured state cap.
-
-    Sliding orbits are always eventually periodic, so hitting the
-    cap indicates either an absurdly long transient or a bug; we abort
-    loudly instead of looping.
-    """
 
 
 def initial_factor(x: GarsideElement):
@@ -90,15 +87,21 @@ class SlidingTrajectory:
         return out
 
 
-def sliding_trajectory(x: GarsideElement, max_states: int = 10**6) -> SlidingTrajectory:
-    """Iterate cyclic sliding from x until a state repeats."""
+def sliding_trajectory(
+    x: GarsideElement, max_states: int = Budgets.max_trajectory_states
+) -> SlidingTrajectory:
+    """Iterate cyclic sliding from x until a state repeats.
+
+    Sliding orbits are always eventually periodic, so more than max_states
+    states means an absurdly long transient or a bug; BudgetExceeded is
+    raised instead of looping on."""
     states = [x]
     prefixes = []
     seen = {x: 0}
     cur = x
     while True:
         if len(states) > max_states:
-            raise TrajectoryCapExceeded(
+            raise BudgetExceeded(
                 f"sliding trajectory exceeded {max_states} states from {x!r}"
             )
         s = preferred_prefix(cur)
@@ -125,7 +128,7 @@ def prefix_products(x: GarsideElement, k: int) -> list:
     return out
 
 
-def slide_to_circuit(x: GarsideElement, max_states: int = 10**6):
+def slide_to_circuit(x: GarsideElement, max_states: int = Budgets.max_trajectory_states):
     """Iterate sliding into the periodic part.
 
     Returns (representative, witness, trajectory): the first recurrent

@@ -25,10 +25,11 @@ from .core import GarsideElement, GarsideStructure, left_normal_form
 
 
 class WordError(ValueError):
-    """A token failed to parse; carries the token position."""
+    """Bad input: a token that failed to parse, with its position, or a
+    bad flag value, with no position."""
 
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"token {position}: {message}")
+    def __init__(self, message: str, position: int | None = None) -> None:
+        super().__init__(message if position is None else f"token {position}: {message}")
         self.position = position
 
 

@@ -230,7 +230,7 @@ def scan_indecomposable_conjugators(y, member):
             c2 is None or c2 == c or not st.leq(c2, c) for c2 in per_atom.values()
         ) and c not in out:
             out.append(c)
-    out.sort(key=st.sort_key)
+    out.sort()
     return out
 
 

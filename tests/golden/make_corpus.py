@@ -150,6 +150,13 @@ def run(argv: list) -> tuple:
     return code, out.getvalue()
 
 
+def replay(entries: list) -> list:
+    """The invocations among entries whose stdout or exit code differ from
+    the recorded ones, as argument strings."""
+    return [" ".join(e["argv"]) for e in entries
+            if run(e["argv"]) != (e["exit"], e["stdout"])]
+
+
 def write_corpus() -> None:
     entries = []
     for argv in invocations():

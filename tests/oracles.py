@@ -2,9 +2,11 @@
 invariant sets by breadth-first search, the conjugacy decision, the
 greedy lattice operations on elements, the reverse structure with the
 right-handed variants of sliding and transport, cycling and decycling,
-and the membership tests for the invariant subsets of a class."""
+the membership tests for the invariant subsets of a class, simples from
+words and non-crossing partitions by filtering all set partitions."""
 
-from garside.circuits import BudgetExceeded, solve_csp
+from garside.bkl import is_noncrossing
+from garside.circuits import BudgetExceeded, compute_scg, solve_csp
 from garside.core import (
     GarsideElement,
     GarsideStructure,
@@ -19,7 +21,6 @@ from garside.core import (
     multiply,
 )
 from garside.sliding import (
-    TrajectoryCapExceeded,
     cyclic_sliding,
     initial_factor,
     preferred_prefix,
@@ -111,9 +112,6 @@ class ReverseStructure(GarsideStructure):
 
     def simple_count(self) -> int:
         return self.base.simple_count()
-
-    def sort_key(self, s):
-        return self.base.sort_key(s)
 
 
 def reverse_rewrite(x: GarsideElement, target: GarsideStructure) -> GarsideElement:
@@ -295,7 +293,7 @@ def _returns(x: GarsideElement, step, max_states: int) -> bool:
     cur = step(x)
     while cur not in seen:
         if len(seen) >= max_states:
-            raise TrajectoryCapExceeded(
+            raise BudgetExceeded(
                 f"orbit exceeded {max_states} states from {x!r}"
             )
         seen.add(cur)
@@ -315,6 +313,43 @@ def in_rsss(x: GarsideElement, max_states: int = 10**6) -> bool:
         and _returns(x, cycling, max_states)
         and _returns(x, decycling, max_states)
     )
+
+
+def sliding_circuit_set(x: GarsideElement, budgets=None) -> frozenset:
+    """The vertices of the sliding circuits graph of x, as a set."""
+    return frozenset(compute_scg(x, budgets).vertices)
+
+
+# -- simple elements: from words, and by filtering ----------------------------
+
+def word_to_simple(st, word) -> tuple:
+    """Product of atoms sigma_k for k in word, as a permutation, over a
+    classical structure.
+
+    No check that the word is reduced; callers wanting a simple braid
+    must pass a reduced word.
+    """
+    s = st.trivial
+    for k in word:
+        s = st.prod(s, st.atom(k))
+    return s
+
+
+def filtered_noncrossing_partitions(n: int) -> tuple:
+    """The non-crossing partitions of {1..n} as sorted label tuples, by
+    filtering all Bell(n) set partitions with `is_noncrossing`."""
+    out = set()
+    stack = [((), 0)]
+    while stack:
+        labels, nblocks = stack.pop()
+        i = len(labels)
+        if i == n:
+            if is_noncrossing(labels):
+                out.add(labels)
+            continue
+        for lab in range(nblocks + 1):
+            stack.append((labels + (lab,), max(nblocks, lab + 1)))
+    return tuple(sorted(out))
 
 
 # -- minimal conjugators and the conjugacy decision -----------------------------

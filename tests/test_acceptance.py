@@ -13,7 +13,7 @@ import pytest
 
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
-from garside.circuits import compute_sss, sliding_circuit_set
+from garside.circuits import compute_sss
 from garside.core import (
     conjugate,
     conjugate_simple,
@@ -27,7 +27,14 @@ from garside.experiments import enumerate_length_one_classes, row_to_csv, statis
 from garside.sliding import cyclic_sliding, is_rigid, preferred_prefix
 
 from conftest import random_element, random_word, structures_for_properties
-from oracles import minimal_sc_conjugator, prefix_leq, prefix_product, transport
+from oracles import (
+    minimal_sc_conjugator,
+    prefix_leq,
+    prefix_product,
+    sliding_circuit_set,
+    transport,
+    word_to_simple,
+)
 
 
 def el(st, ks):
@@ -141,7 +148,7 @@ def test_criterion_5_rigidity_walkthrough():
         start = time.monotonic()
         st = artin_structure(4)
         x = el(st, [3, 2, 1])
-        assert preferred_prefix(x) == st.word_to_simple([3, 2])
+        assert preferred_prefix(x) == word_to_simple(st, [3, 2])
         sx = cyclic_sliding(x)
         assert sx == el(st, [1, 3, 2])
         assert cyclic_sliding(sx) == sx

@@ -24,7 +24,7 @@ from garside.core import (
 )
 from garside.words import band_to_sigma_word
 
-from oracles import meet, prefix_leq, suffix_leq
+from oracles import filtered_noncrossing_partitions, meet, prefix_leq, suffix_leq
 
 
 def catalan(n):
@@ -83,6 +83,11 @@ def test_descriptor_basics():
 def test_simple_counts_are_catalan():
     for n in (2, 3, 4, 5, 6):
         assert len(bkl_structure(n).simples()) == catalan(n)
+
+
+def test_direct_enumeration_matches_the_filter_of_all_set_partitions():
+    for n in range(2, 10):
+        assert BKLStructure(n).simples() == filtered_noncrossing_partitions(n)
 
 
 def test_noncrossing_filter():

@@ -14,7 +14,6 @@ from garside.circuits import (
     compute_scg,
     compute_sss,
     indecomposable_conjugators,
-    sliding_circuit_set,
     solve_csp,
 )
 from garside.core import (
@@ -56,6 +55,7 @@ from oracles import (
     minimal_sss_conjugator,
     prefix_leq,
     prefix_product,
+    sliding_circuit_set,
     solve_cdp,
 )
 

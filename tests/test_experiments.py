@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
-from garside.circuits import compute_sss, sliding_circuit_set
+from garside.circuits import compute_sss
 from garside.experiments import (
     CSV_HEADER,
     ClassStatistics,
@@ -15,7 +17,7 @@ from garside.experiments import (
     statistics_row,
 )
 
-from oracles import in_sc
+from oracles import in_sc, sliding_circuit_set
 
 
 def test_class_partition_b4():
@@ -120,6 +122,11 @@ def test_emit_json_shapes():
     assert data[0]["classes"] == 9
     assert data[0]["max_sss"] == 4
     assert abs(data[0]["emean_sss"] - 3.09091) < 1e-5
+
+
+def test_statistics_row_refuses_an_empty_class_list():
+    with pytest.raises(ValueError, match="empty class list"):
+        statistics_row("artin", 2, 0, enumerate_length_one_classes(artin_structure(2)))
 
 
 def test_ratio_property():

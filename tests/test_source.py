@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import garside
@@ -16,21 +17,40 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _public_defs(tree):
+    """Public top-level functions, and public methods that are not
+    properties."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not top.name.startswith("_"):
+                yield top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")
+                        and not any(isinstance(d, ast.Name) and d.id == "property"
+                                    for d in node.decorator_list)):
+                    yield node
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def test_every_public_function_is_used_in_the_package():
-    # a public top-level function must be called or named somewhere else in
+    # a public function or method must be called or named somewhere else in
     # the package, or exported by name in __all__; code that serves only the
     # tests belongs in tests/oracles.py
-    defined, used = set(), set()
+    defined, used, own = set(), Counter(), Counter()
     for path in sorted(Path(garside.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            is_def = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if is_def and not top.name.startswith("_"):
-                defined.add(top.name)
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and not (is_def and name == top.name):
-                    used.add(name)
-    used.update(garside.__all__)
-    assert sorted(defined - used) == []
+        used.update(_names(tree))
+        for d in _public_defs(tree):
+            defined.add(d.name)
+            own.update(n for n in _names(d) if n == d.name)
+    unused = {name for name in defined if used[name] == own[name]}
+    assert sorted(unused - set(garside.__all__)) == []

@@ -28,6 +28,7 @@ from garside.words import (
 )
 
 from conftest import random_element
+from oracles import word_to_simple
 
 
 def el(st, ks):
@@ -201,7 +202,7 @@ def test_cli_nf_json(capsys):
     data = json.loads(out)
     assert data == {"p": 0, "factors": [[3, 1, 2, 4]]}
     st = artin_structure(4)
-    assert data["factors"][0] == list(st.word_to_simple([1, 2]))
+    assert data["factors"][0] == list(word_to_simple(st, [1, 2]))
 
 
 def test_cli_global_flags_before_or_after_subcommand(capsys):
@@ -317,6 +318,21 @@ def test_cli_parse_error_exit_code(capsys):
     assert "token 1" in err
     code, _, err = run_cli(capsys, ["--n", "1", "nf", "s1"])
     assert code == 2
+
+
+def test_cli_flag_errors_name_no_token(capsys):
+    code, out, err = run_cli(capsys, ["--max-set-size", "-1", "nf", "s1"])
+    assert (code, out, err) == (
+        2, "", "error: --max-set-size must be non-negative, got -1\n")
+    for argv in (["--n", "1", "nf", "s1"],
+                 ["--max-vertices", "-1", "nf", "s1"],
+                 ["--max-trajectory", "-2", "nf", "s1"],
+                 ["slide", "s1", "-k", "-1"],
+                 ["rigid", "s1", "-k", "-1"],
+                 ["--n", "2", "table"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "token" not in err, argv
 
 
 def test_cli_budget_exit_code(capsys):
