@@ -27,6 +27,18 @@ those whose atoms all have their c_a and those not above rho_b (or c_b,
 once found) for some atom b below them, and the scan stops once every atom
 has its c_a.  The scan still grows with the number of simples; the paper's
 transport and pullback along the circuit would replace it.
+
+All of this commutes with conjugation by Delta.  Write tau(y) = y^Delta;
+for y = Delta^p y_1 ... y_r it is Delta^p tau(y_1) ... tau(y_r), again in
+normal form.  Sliding, the summit invariants and the lattice on simples
+are preserved by tau, so SSS(x) and SC(x) are unions of tau-orbits, and
+rho_tau(a)(tau(y)) = tau(rho_a(y)) (Franco and Gonzalez-Meneses); likewise
+the arrows at tau(y) are tau of the arrows at y.  tau has order 2 on the
+classical structure and n on the dual one.  So `compute_sss` takes in a
+whole orbit at a time and runs the rho_a fixpoints at one element of it,
+`compute_scg` searches the arrows once per orbit and hands the other
+vertices of the orbit their twisted lists, and membership in SC is tested
+once per orbit.
 """
 
 from __future__ import annotations
@@ -58,6 +70,19 @@ def check_simples_budget(st: GarsideStructure, budgets: Budgets) -> None:
             f"{st.name} has {count} simple elements, more than the set budget "
             f"of {budgets.max_set_size}"
         )
+
+
+def _tau_orbit(y: GarsideElement) -> list:
+    """The distinct elements y, tau(y), tau^2(y), ..., where
+    tau(Delta^p y_1 ... y_r) = Delta^p tau(y_1) ... tau(y_r) is y^Delta."""
+    st = y.structure
+    orbit = [y]
+    factors = y.factors
+    while True:
+        factors = tuple(st.tau(f) for f in factors)
+        if factors == y.factors:
+            return orbit
+        orbit.append(GarsideElement(st, y.p, factors))
 
 
 class _SCMembership:
@@ -166,13 +191,23 @@ def compute_scg(
     same order either way and a witness is set when its vertex is first
     found, so every witness equals the one of the full graph.  Without a
     target, or when target is not in the graph, the graph is whole.
+
+    The arrows are searched at the first vertex of each tau-orbit to be
+    popped; the other vertices of the orbit take its list twisted by tau^k
+    and re-sorted when they are popped in turn.
     """
     budgets = budgets or Budgets()
     check_simples_budget(x.structure, budgets)
+    if budgets.max_vertices < 1:
+        # the representative is a vertex too
+        raise BudgetExceeded(
+            f"sliding circuits graph exceeded {budgets.max_vertices} vertices"
+        )
     if start is None:
         rep, witness, _ = slide_to_circuit(x, budgets.max_trajectory_states)
     else:
         rep, witness = start
+    st = x.structure
     member = _SCMembership(rep.inf, rep.canonical_length, budgets)
     graph = SlidingCircuitsGraph(base=x)
     graph.vertices.append(rep)
@@ -180,9 +215,16 @@ def compute_scg(
     # sort keys are unique per element, so the heap never compares elements
     frontier = [(rep.sort_key(), rep)]
     known = {rep}
+    # arrows of vertices not yet popped, read off a tau-conjugate popped earlier
+    twisted: dict = {}
     while frontier and target not in known:
         _, y = heapq.heappop(frontier)
-        for s in indecomposable_conjugators(y, member):
+        arrows = twisted.pop(y, None)
+        if arrows is None:
+            arrows = indecomposable_conjugators(y, member)
+            for k, w in enumerate(_tau_orbit(y)[1:], 1):
+                twisted[w] = sorted(st.tau_pow(c, k) for c in arrows)
+        for s in arrows:
             z = conjugate_simple(y, s)
             graph.arrows.append((y, s, z))
             if z not in known:
@@ -193,7 +235,7 @@ def compute_scg(
                 known.add(z)
                 graph.vertices.append(z)
                 graph.witness_to_base[z] = multiply(
-                    graph.witness_to_base[y], from_simple(y.structure, s)
+                    graph.witness_to_base[y], from_simple(st, s)
                 )
                 heapq.heappush(frontier, (z.sort_key(), z))
     graph.vertices.sort(key=lambda v: v.sort_key())
@@ -268,16 +310,26 @@ def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
     by the per-atom minimal conjugators rho_a.
 
     Every simple conjugator between two summit elements is a product of
-    such minimal ones, so the closure is the whole set.
+    such minimal ones, so the closure is the whole set.  The set is a union
+    of tau-orbits along which the rho_a move, so each element popped brings
+    in its whole orbit, and the fixpoints run at that one element.
     """
     budgets = budgets or Budgets()
     rep, _, _ = slide_to_circuit(x, budgets.max_trajectory_states)
     st = x.structure
     inf_s, ell_s = rep.inf, rep.canonical_length
-    known = {rep}
+    known: set = set()
     frontier = [rep]
     while frontier:
         y = frontier.pop()
+        if y in known:
+            continue
+        for w in _tau_orbit(y):
+            if len(known) >= budgets.max_set_size:
+                raise BudgetExceeded(
+                    f"summit set exceeded {budgets.max_set_size} elements"
+                )
+            known.add(w)
         y_inv = inverse(y)
         rhos = dict.fromkeys(_summit_conjugator(y, y_inv, a) for a in st.atoms)
         for c in rhos:
@@ -287,11 +339,6 @@ def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
                     "a minimal summit conjugator left the super summit set"
                 )
             if z not in known:
-                if len(known) >= budgets.max_set_size:
-                    raise BudgetExceeded(
-                        f"summit set exceeded {budgets.max_set_size} elements"
-                    )
-                known.add(z)
                 frontier.append(z)
     return frozenset(known)
 
@@ -302,4 +349,12 @@ def sliding_circuits_in_sss(sss: frozenset, budgets: Budgets | None = None) -> f
     budgets = budgets or Budgets()
     some = next(iter(sss))
     member = _SCMembership(some.inf, some.canonical_length, budgets)
-    return frozenset(y for y in sss if member(y))
+    seen: set = set()
+    sc: set = set()
+    for y in sss:
+        if y not in seen:
+            orbit = _tau_orbit(y)
+            seen.update(orbit)
+            if member(y):
+                sc.update(orbit)
+    return frozenset(sc)

@@ -137,6 +137,25 @@ def invocations() -> list:
         ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2"],
         ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2 s3"],
     ]
+    b6 = ["--structure", "bkl", "--n", "6"]
+    cases += [
+        # larger classes, whose vertices fall into tau-orbits of several elements
+        b6 + ["scg", "--format", "json",
+              "a(5,3)^-1 a(4,3)^-1 a(6,2) a(5,2) a(4,2)^-1 a(6,1) a(3,2) a(2,1)"],
+        b6 + ["scg", "--format", "json",
+              "a(5,3) a(5,1)^-1 a(6,4)^-1 a(5,2)^-1 a(6,1) a(5,1) a(5,3) a(5,1)"],
+        ["--n", "6", "scg", "--format", "json", "s1 s1 s3^-1 s2 s2 s4 s2 s1 s3 s3^-1"],
+        ["--n", "7", "sc", "s6 s5 s4 s3 s2 s1"],
+        # planted YES: y = c^-1 x c
+        b6 + ["conj",
+              "a(6,1)^-1 a(3,2)^-1 a(6,4)^-1 a(6,5) a(6,2)^-1 a(6,4) a(5,1)^-1 a(6,4)^-1",
+              "a(4,1)^-1 a(6,3)^-1 a(3,1) a(6,2)^-1 a(6,1)^-1 a(3,2)^-1 a(6,4)^-1 a(6,5) "
+              "a(6,2)^-1 a(6,4) a(5,1)^-1 a(6,4)^-1 a(6,2) a(3,1)^-1 a(6,3) a(4,1)"],
+        # NO with equal summit invariants (inf -1, canonical length 2)
+        b6 + ["conj",
+              "a(6,4) a(4,3)^-1 a(5,2)^-1 a(6,3) a(6,3)^-1 a(4,3) a(4,2)^-1 a(6,1)^-1",
+              "a(5,1) a(5,2) a(6,3)^-1 a(4,3) a(6,1)^-1 a(4,3)^-1 a(5,2)^-1 a(5,4)"],
+    ]
     return cases
 
 

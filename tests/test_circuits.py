@@ -11,9 +11,11 @@ from garside.circuits import (
     Budgets,
     _SCMembership,
     _summit_conjugator,
+    _tau_orbit,
     compute_scg,
     compute_sss,
     indecomposable_conjugators,
+    sliding_circuits_in_sss,
     solve_csp,
 )
 from garside.core import (
@@ -541,6 +543,119 @@ def test_budget_exhaustion_is_loud():
     assert len(compute_scg(x, Budgets(max_set_size=len(st.simples()))).vertices) == 2
     with pytest.raises(BudgetExceeded):
         minimal_sc_conjugator(el(st, [3, 2, 1]), max_norm=0)
+
+
+def symmetric_classes():
+    """Fixed-seed classes of classical B_5 and dual B_4 and B_6, where tau
+    has order 2, 4 and 6."""
+    rng = random.Random(20261018)
+    return [random_element(st, rng, length=letters)
+            for st, letters, samples in [(artin_structure(5), 16, 3),
+                                         (bkl_structure(4), 12, 3),
+                                         (bkl_structure(6), 8, 3)]
+            for _ in range(samples)]
+
+
+def tau_orbits(elements):
+    """The tau-orbits of a union of orbits, as frozensets, each checked
+    against repeated conjugation by Delta."""
+    orbits = set()
+    for y in elements:
+        orbit = _tau_orbit(y)
+        delta = delta_power(y.structure, 1)
+        assert [conjugate(w, delta) for w in orbit] == orbit[1:] + orbit[:1]
+        assert len(set(orbit)) == len(orbit)
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_summit_conjugators_and_arrows_move_with_tau():
+    """rho_tau(a)(tau(y)) = tau(rho_a(y)) for every atom, and the arrows at
+    tau(y) are the sorted tau-images of the arrows at y, on every sliding
+    circuit y of each class, with tau(y) = y^Delta computed by conjugation."""
+    orbit_sizes = set()
+    for x in symmetric_classes():
+        st = x.structure
+        delta = delta_power(st, 1)
+        rep = slide_to_circuit(x)[0]
+        member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
+        for y in sliding_circuit_set(x):
+            ty = conjugate(y, delta)
+            orbit_sizes.add(len(_tau_orbit(y)))
+            y_inv, ty_inv = inverse(y), inverse(ty)
+            for a in st.atoms:
+                assert _summit_conjugator(ty, ty_inv, st.tau(a)) == \
+                    st.tau(_summit_conjugator(y, y_inv, a))
+            assert indecomposable_conjugators(ty, member) == \
+                sorted(st.tau(c) for c in indecomposable_conjugators(y, member))
+    assert orbit_sizes >= {2, 4, 6}
+
+
+def test_scg_arrows_match_scan_at_every_vertex(monkeypatch):
+    """The arrows compute_scg hands a vertex from a tau-conjugate are
+    checked against the scan oracle, not against the search; the search
+    runs once per tau-orbit of vertices, and the rho_a fixpoints of
+    compute_sss once per tau-orbit of its elements."""
+    import garside.circuits
+
+    calls = {"arrows": 0, "rho": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(garside.circuits, "indecomposable_conjugators",
+                        counted("arrows", indecomposable_conjugators))
+    monkeypatch.setattr(garside.circuits, "_summit_conjugator",
+                        counted("rho", _summit_conjugator))
+    shared = 0
+    for x in symmetric_classes():
+        st = x.structure
+        calls.update(arrows=0, rho=0)
+        graph = compute_scg(x)
+        orbits = tau_orbits(graph.vertices)
+        assert calls["arrows"] == len(orbits)
+        shared += len(graph.vertices) - len(orbits)
+        rep = graph.vertices[0]
+        member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
+        for v in graph.vertices:
+            assert [c for y, c, _ in graph.arrows if y == v] == \
+                scan_indecomposable_conjugators(v, member)
+        calls["rho"] = 0
+        sss = compute_sss(x)
+        assert calls["rho"] == len(st.atoms) * len(tau_orbits(sss))
+        assert sliding_circuits_in_sss(sss) == frozenset(graph.vertices)
+    assert shared >= 100
+
+
+def test_budgets_count_whole_orbits():
+    """On a dual class whose sets are unions of orbits of size 6, a budget
+    equal to the set's size passes and one less raises; a zero budget
+    counts the representative."""
+    st = bkl_structure(6)
+    x = left_normal_form(st, [(st.atom(t, s), -1) for t, s in
+                              ((5, 4), (6, 5), (6, 1), (3, 2), (4, 3), (3, 1))])
+    sss = compute_sss(x)
+    sc = compute_scg(x).vertices
+    assert {len(o) for o in tau_orbits(sss)} == {6}
+    assert (len(sss), len(sc)) == (60, 12)
+    assert compute_sss(x, Budgets(max_set_size=len(sss))) == sss
+    assert compute_scg(x, Budgets(max_vertices=len(sc))).vertices == sc
+    with pytest.raises(BudgetExceeded):
+        compute_sss(x, Budgets(max_set_size=len(sss) - 1))
+    with pytest.raises(BudgetExceeded):
+        compute_scg(x, Budgets(max_vertices=len(sc) - 1))
+    for budgets in (Budgets(max_set_size=0), Budgets(max_set_size=5)):
+        with pytest.raises(BudgetExceeded):
+            compute_sss(x, budgets)
+    with pytest.raises(BudgetExceeded):
+        compute_scg(x, Budgets(max_vertices=0))
+    # a set of one element fits a budget of one
+    d = delta_power(st, 1)
+    assert compute_sss(d, Budgets(max_set_size=1)) == frozenset({d})
+    assert compute_scg(d, Budgets(max_vertices=1)).vertices == [d]
 
 
 def test_conjugator_search_rejects_non_members():

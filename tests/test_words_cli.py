@@ -312,6 +312,20 @@ def test_cli_conj_vertex_budget(capsys):
     assert (code, out) == (0, "YES 1\n")
 
 
+def test_cli_zero_budgets_count_the_first_element(capsys):
+    """A cap of 0 admits nothing, not even the representative, as a
+    trajectory cap of 0 admits no start state."""
+    for argv in (["--n", "3", "sc", "--max-vertices", "0", "s1 s2 s1"],
+                 ["--n", "3", "scg", "--max-vertices", "0", "s1 s2 s1"],
+                 ["--n", "3", "conj", "--max-vertices", "0", "s1", "s1"],
+                 ["--n", "3", "traj", "--max-trajectory", "0", "s1 s2 s1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert "budget" in err.lower(), argv
+    code, out, _ = run_cli(capsys, ["--n", "3", "sc", "--max-vertices", "1", "s1 s2 s1"])
+    assert (code, out) == (0, "D\n")
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["nf", "wat"])
     assert code == 2
