@@ -10,8 +10,11 @@ of them as atoms, and the graph they span is finite and connected.
 The solver slides both inputs onto circuits.  A circuit element is super
 summit, so its inf and canonical length are the summit invariants of its
 class; when those differ the answer is NO and no graph is built.
-Otherwise the graph of x is walked, by `compute_scg` with a target, until
-the representative of y turns up; only a NO needs the whole graph.
+Otherwise the graph of x is walked, by `compute_scg` with targets, until
+it meets the circuit of y or a tau-image of it.  SC(y) is a union of whole
+circuits and closed under tau, so every such element is a vertex, and the
+trajectory of y already gives a conjugator to each: a prefix product of
+the slidings times a power of Delta.  Only a NO needs the whole graph.
 
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
@@ -54,6 +57,7 @@ from .core import (
     VerificationError,
     conjugate,
     conjugate_simple,
+    delta_power,
     from_simple,
     inverse,
     multiply,
@@ -175,7 +179,7 @@ class SlidingCircuitsGraph:
 def compute_scg(
     x: GarsideElement,
     budgets: Budgets | None = None,
-    target: GarsideElement | None = None,
+    targets=(),
     start: tuple | None = None,
 ) -> SlidingCircuitsGraph:
     """Build the sliding circuits graph of the class of x.
@@ -185,12 +189,13 @@ def compute_scg(
     `start` is (representative, conjugator from x to it) when the caller
     has already slid x.
 
-    With a `target`, the walk stops popping the frontier once target is a
-    known vertex, and the graph returned is the part built so far: the
-    vertex popped last keeps all its arrows.  Vertices are popped in the
-    same order either way and a witness is set when its vertex is first
-    found, so every witness equals the one of the full graph.  Without a
-    target, or when target is not in the graph, the graph is whole.
+    With `targets`, a collection of elements, the walk stops popping the
+    frontier once any of them is a known vertex, and the graph returned is
+    the part built so far: the vertex popped last keeps all its arrows.
+    Vertices are popped in the same order either way and a witness is set
+    when its vertex is first found, so every witness equals the one of the
+    full graph.  Without targets, or when none is in the graph, the graph
+    is whole.
 
     The arrows are searched at the first vertex of each tau-orbit to be
     popped; the other vertices of the orbit take its list twisted by tau^k
@@ -217,7 +222,7 @@ def compute_scg(
     known = {rep}
     # arrows of vertices not yet popped, read off a tau-conjugate popped earlier
     twisted: dict = {}
-    while frontier and target not in known:
+    while frontier and known.isdisjoint(targets):
         _, y = heapq.heappop(frontier)
         arrows = twisted.pop(y, None)
         if arrows is None:
@@ -261,22 +266,32 @@ def solve_csp(
 ) -> ConjugatorWitness | None:
     """Conjugacy search: a verified witness c with x^c = y, or None.
 
-    Different summit invariants answer None before any graph is built;
-    otherwise the graph of x is walked until it reaches the circuit
-    representative of y, and None needs the whole graph under the vertex
-    budget.
+    Different summit invariants answer None before any graph is built.
+    Otherwise the targets are the circuit states s_j of y's trajectory and
+    their tau-images tau^k(s_j) = y^(P_j Delta^k), P_j the j-th prefix
+    product, each element keeping its first (j, k) with j, then k,
+    increasing.  The graph of x is walked until it knows a target; the hit
+    is the first target found, and c = witness(hit) (P_j Delta^k)^-1.  None
+    needs the whole graph under the vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
     budgets = budgets or Budgets()
-    rep_y, wit_y, _ = slide_to_circuit(y, budgets.max_trajectory_states)
+    rep_y, _, traj_y = slide_to_circuit(y, budgets.max_trajectory_states)
     rep_x, wit_x, _ = slide_to_circuit(x, budgets.max_trajectory_states)
     if (rep_x.inf, rep_x.canonical_length) != (rep_y.inf, rep_y.canonical_length):
         return None
-    graph = compute_scg(x, budgets, target=rep_y, start=(rep_x, wit_x))
-    if rep_y not in graph.witness_to_base:
+    targets: dict = {}
+    for j in range(traj_y.entry_index, len(traj_y.states)):
+        for k, t in enumerate(_tau_orbit(traj_y.states[j])):
+            targets.setdefault(t, (j, k))
+    graph = compute_scg(x, budgets, targets=targets, start=(rep_x, wit_x))
+    hit = next((v for v in graph.witness_to_base if v in targets), None)
+    if hit is None:
         return None
-    c = multiply(graph.witness_to_base[rep_y], inverse(wit_y))
+    j, k = targets[hit]
+    to_hit = multiply(traj_y.prefix_product(j), delta_power(x.structure, k))
+    c = multiply(graph.witness_to_base[hit], inverse(to_hit))
     return ConjugatorWitness(x, y, c)
 
 

@@ -8,13 +8,15 @@ from garside.circuits import compute_scg
 from garside.core import (
     VerificationError,
     _element,
+    conjugate,
     conjugate_simple,
+    delta_power,
     from_simple,
     inverse,
     left_normal_form,
     multiply,
 )
-from garside.sliding import slide_to_circuit
+from garside.sliding import prefix_products, slide_to_circuit, sliding_trajectory
 
 
 def pytest_addoption(parser):
@@ -235,14 +237,26 @@ def scan_indecomposable_conjugators(y, member):
 
 
 def full_graph_conjugator(x, y):
-    """Solver oracle: build the whole sliding circuits graph of x, then
-    look up the circuit representative of y; a conjugator c with x^c = y,
-    or None."""
-    rep_y, wit_y, _ = slide_to_circuit(y)
+    """Solver oracle: build the whole sliding circuits graph of x, then take
+    the first vertex, in the order the walk found them, that is
+    tau^k(s_j) = y^(P_j Delta^k) for a state s_j on y's circuit; with the
+    least such (j, k), a conjugator c = witness (P_j Delta^k)^-1 with
+    x^c = y, or None."""
+    st = y.structure
+    traj = sliding_trajectory(y)
+    delta = delta_power(st, 1)
     graph = compute_scg(x)
-    if rep_y not in graph.witness_to_base:
-        return None
-    return multiply(graph.witness_to_base[rep_y], inverse(wit_y))
+    for v, w in graph.witness_to_base.items():
+        for j in range(traj.entry_index, len(traj.states)):
+            t, k = traj.states[j], 0
+            while t != v:
+                t, k = conjugate(t, delta), k + 1
+                if t == traj.states[j]:
+                    break
+            if t == v:
+                to_v = multiply(prefix_products(y, j)[j], delta_power(st, k))
+                return multiply(w, inverse(to_v))
+    return None
 
 
 @pytest.fixture

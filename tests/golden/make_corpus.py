@@ -156,6 +156,17 @@ def invocations() -> list:
               "a(6,4) a(4,3)^-1 a(5,2)^-1 a(6,3) a(6,3)^-1 a(4,3) a(4,2)^-1 a(6,1)^-1",
               "a(5,1) a(5,2) a(6,3)^-1 a(4,3) a(6,1)^-1 a(4,3)^-1 a(5,2)^-1 a(5,4)"],
     ]
+    cases += [
+        # YES at a Delta-conjugate of y's circuit, found before y's
+        # representative: under a cap of one vertex, and at tau^5 of a
+        # circuit state (3 vertices known instead of 7)
+        ["--n", "4", "conj", "--max-vertices", "1", "s1 s3 s2^-1 s3^-1 s2^-1 s1^-1",
+         "s2 s2 s1 s1 s3 s2^-1 s3^-1 s2^-1 s1^-1 s1^-1 s2^-1 s2^-1"],
+        b6 + ["conj",
+              "a(6,4)^-1 a(4,3) a(4,3)^-1 a(6,3)^-1 a(5,2) a(6,3) a(6,2)^-1 a(3,1)",
+              "a(5,3)^-1 a(5,2)^-1 a(6,4) a(5,4)^-1 a(6,4)^-1 a(4,3) a(4,3)^-1 "
+              "a(6,3)^-1 a(5,2) a(6,3) a(6,2)^-1 a(3,1) a(5,4) a(6,4)^-1 a(5,2) a(5,3)"],
+    ]
     return cases
 
 

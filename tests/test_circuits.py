@@ -39,6 +39,7 @@ from garside.sliding import (
     slide_to_circuit,
     sliding_trajectory,
 )
+from garside.words import parse_word
 
 from conftest import (
     full_graph_conjugator,
@@ -323,7 +324,8 @@ def test_solver_random_conjugates(rng):
 
 def test_solver_matches_full_graph_oracle():
     """On fixed-seed pairs, planted and independent, the solver that stops
-    at y's circuit returns the conjugator of the full-graph solver."""
+    at y's circuit or a tau-image of it returns the conjugator of the
+    full-graph solver."""
     rng = random.Random(20261018)
     for st, letters in [(artin_structure(4), 10), (artin_structure(5), 12),
                         (bkl_structure(4), 10), (bkl_structure(5), 10)]:
@@ -340,21 +342,93 @@ def test_solver_matches_full_graph_oracle():
 
 
 def test_scg_walk_to_a_target_keeps_the_full_graph_witnesses(rng):
-    """compute_scg with a target returns part of the full graph, holding the
+    """compute_scg with targets returns part of the full graph, holding the
     target with the witness the full graph gives it."""
     for st in [artin_structure(4), bkl_structure(4), artin_structure(5)]:
         for _ in range(6):
             x = random_element(st, rng, length=8)
             full = compute_scg(x)
             for v in full.vertices[:: max(1, len(full.vertices) // 3)]:
-                part = compute_scg(x, target=v)
+                part = compute_scg(x, targets={v})
                 assert set(part.vertices) <= set(full.vertices)
                 assert set(part.arrows) <= set(full.arrows)
                 assert part.witness_to_base[v] == full.witness_to_base[v]
             # a target outside the class leaves the graph whole
             outside = multiply(delta_power(st, 1), full.vertices[0])
-            whole = compute_scg(x, target=outside)
+            whole = compute_scg(x, targets={outside})
             assert (whole.vertices, whole.arrows) == (full.vertices, full.arrows)
+
+
+def test_solver_hit_at_x_representative_searches_no_arrows(monkeypatch):
+    """When y is a tau-image or a later circuit state of x's circuit
+    representative, that representative is already a target: the solver
+    answers with no arrow search."""
+    import garside.circuits
+
+    def no_arrows(*args):
+        raise AssertionError("arrows searched")
+
+    monkeypatch.setattr(garside.circuits, "indecomposable_conjugators", no_arrows)
+    rng = random.Random(20261018)
+    later = 0
+    for st, letters in [(artin_structure(4), 10), (artin_structure(5), 12),
+                        (bkl_structure(4), 10), (bkl_structure(6), 8)]:
+        for _ in range(6):
+            x = random_element(st, rng, length=letters)
+            traj = sliding_trajectory(x)
+            circuit = traj.states[traj.entry_index:]
+            ys = [conjugate(circuit[0], delta_power(st, k))
+                  for k in range(1, st.tau_order)] + list(circuit[1:])
+            later += len(circuit) - 1
+            for y in ys:
+                w = solve_csp(x, y)
+                assert conjugate(x, w.conjugator) == y
+    assert later > 0
+
+
+def test_solver_hit_is_the_first_target_found():
+    """The vertex popped last can bring in several targets; the hit is the
+    first of them found, not the least in sort order."""
+    st = bkl_structure(5)
+    x = parse_word(st, "a(5,4)^-1 a(4,1) a(3,1)^-1 a(3,1) a(4,2)^-1 a(4,1)")
+    y = parse_word(st, "a(2,1)^-1 a(2,1) a(4,2)^-1 a(5,4)^-1 a(4,1) a(3,1)^-1 "
+                       "a(3,1) a(4,2)^-1 a(4,1) a(4,2) a(2,1)^-1 a(2,1)")
+    traj = sliding_trajectory(y)
+    targets = {t for s in traj.states[traj.entry_index:] for t in _tau_orbit(s)}
+    hits = [v for v in compute_scg(x, targets=targets).witness_to_base
+            if v in targets]
+    assert hits[0] != min(hits, key=GarsideElement.sort_key)
+    assert solve_csp(x, y).conjugator == full_graph_conjugator(x, y)
+
+
+def test_solver_walk_knows_no_more_vertices_than_a_walk_to_y_representative(
+        monkeypatch):
+    """On fixed-seed planted pairs the solver's walk stops no later than a
+    walk to the circuit representative of y alone."""
+    import garside.circuits
+
+    walked = []
+
+    def recorded(*args, **kwargs):
+        graph = compute_scg(*args, **kwargs)
+        walked.append(len(graph.vertices))
+        return graph
+
+    monkeypatch.setattr(garside.circuits, "compute_scg", recorded)
+    rng = random.Random(20261019)
+    shorter = 0
+    for st, letters in [(artin_structure(5), 12), (bkl_structure(4), 10),
+                        (bkl_structure(5), 10)]:
+        for _ in range(8):
+            x = random_element(st, rng, length=letters)
+            y = conjugate(x, random_element(st, rng, length=letters // 2))
+            walked.clear()
+            assert solve_csp(x, y) is not None
+            rep_y = slide_to_circuit(y)[0]
+            to_rep = len(compute_scg(x, targets={rep_y}).vertices)
+            assert walked[0] <= to_rep
+            shorter += walked[0] < to_rep
+    assert shorter > 0
 
 
 def test_gcd_closure_of_sc_and_sss(rng):

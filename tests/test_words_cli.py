@@ -312,6 +312,19 @@ def test_cli_conj_vertex_budget(capsys):
     assert (code, out) == (0, "YES 1\n")
 
 
+def test_cli_conj_yes_at_a_tau_image_under_a_vertex_cap(capsys):
+    """The walk stops at the first vertex on y's circuit or a
+    Delta-conjugate of it, here before y's representative, which the
+    walk reaches only at its third vertex."""
+    x = "s1 s3 s2^-1 s3^-1 s2^-1 s1^-1"
+    y = "s2 s2 s1 s1 s3 s2^-1 s3^-1 s2^-1 s1^-1 s1^-1 s2^-1 s2^-1"
+    code, out, _ = run_cli(capsys, ["--n", "4", "conj", "--max-vertices", "1", x, y])
+    assert code == 0 and out.startswith("YES ")
+    st = artin_structure(4)
+    c = parse_word(st, out.strip()[4:].replace(" . ", " "))
+    assert conjugate(parse_word(st, x), c) == parse_word(st, y)
+
+
 def test_cli_zero_budgets_count_the_first_element(capsys):
     """A cap of 0 admits nothing, not even the representative, as a
     trajectory cap of 0 admits no start state."""
