@@ -15,6 +15,8 @@ it meets the circuit of y or a tau-image of it.  SC(y) is a union of whole
 circuits and closed under tau, so every such element is a vertex, and the
 trajectory of y already gives a conjugator to each: a prefix product of
 the slidings times a power of Delta.  Only a NO needs the whole graph.
+The graph records the arrow that first reached each vertex; a YES composes
+a conjugator along these for its hit alone, and checks it once.
 
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
@@ -58,8 +60,8 @@ from .core import (
     conjugate,
     conjugate_simple,
     delta_power,
-    from_simple,
     inverse,
+    left_normal_form,
     multiply,
 )
 from .sliding import slide_to_circuit, sliding_trajectory
@@ -105,18 +107,12 @@ class _SCMembership:
     def __call__(self, y: GarsideElement) -> bool:
         if y.inf != self.inf_s or y.canonical_length != self.ell_s:
             return False
-        r = self.cache.get(y)
-        if r is None:
+        if y not in self.cache:
             traj = sliding_trajectory(y, self.budgets.max_trajectory_states)
-            circuit = traj.states[traj.entry_index :]
-            on = traj.entry_index == 0
             # every state on the found circuit is itself recurrent
-            for s in circuit:
-                self.cache[s] = True
-            for s in traj.states[: traj.entry_index]:
-                self.cache[s] = False
-            r = on
-        return r
+            for i, s in enumerate(traj.states):
+                self.cache[s] = i >= traj.entry_index
+        return self.cache[y]
 
 
 def indecomposable_conjugators(y: GarsideElement, member) -> list:
@@ -166,34 +162,42 @@ def indecomposable_conjugators(y: GarsideElement, member) -> list:
 
 @dataclass
 class SlidingCircuitsGraph:
-    """Vertices are the sliding-circuit conjugates of base, sorted by
+    """Vertices are the sliding-circuit conjugates of an element, sorted by
     `GarsideElement.sort_key`; arrows the indecomposable simple conjugators
-    between them."""
+    between them.  `parent` maps the vertices, in the order found, to the
+    (y, s) of the arrow that first reached them, the representative to None."""
 
-    base: GarsideElement
     vertices: list = field(default_factory=list)
     arrows: list = field(default_factory=list)  # (source, conjugator, target)
-    witness_to_base: dict = field(default_factory=dict)
+    parent: dict = field(default_factory=dict)
+
+    def conjugator_to(self, v: GarsideElement) -> GarsideElement:
+        """The product of the parent chain: a conjugator from the representative to v."""
+        simples = []
+        while self.parent[v] is not None:
+            v, s = self.parent[v]
+            simples.append((s, 1))
+        return left_normal_form(v.structure, reversed(simples))
 
 
 def compute_scg(
     x: GarsideElement,
     budgets: Budgets | None = None,
     targets=(),
-    start: tuple | None = None,
+    start: GarsideElement | None = None,
 ) -> SlidingCircuitsGraph:
     """Build the sliding circuits graph of the class of x.
 
     Seeds with the circuit representative of x, then closes under
-    indecomposable conjugators, composing witnesses along the way.
-    `start` is (representative, conjugator from x to it) when the caller
-    has already slid x.
+    indecomposable conjugators, recording for each new vertex the arrow
+    that found it in `parent`.  `start` is that representative when the
+    caller has already slid x.
 
     With `targets`, a collection of elements, the walk stops popping the
     frontier once any of them is a known vertex, and the graph returned is
     the part built so far: the vertex popped last keeps all its arrows.
-    Vertices are popped in the same order either way and a witness is set
-    when its vertex is first found, so every witness equals the one of the
+    Vertices are popped in the same order either way and a parent is set
+    when its vertex is first found, so every parent equals the one of the
     full graph.  Without targets, or when none is in the graph, the graph
     is whole.
 
@@ -208,21 +212,18 @@ def compute_scg(
         raise BudgetExceeded(
             f"sliding circuits graph exceeded {budgets.max_vertices} vertices"
         )
-    if start is None:
-        rep, witness, _ = slide_to_circuit(x, budgets.max_trajectory_states)
-    else:
-        rep, witness = start
+    rep = start
+    if rep is None:
+        rep = slide_to_circuit(x, budgets.max_trajectory_states)[0]
     st = x.structure
     member = _SCMembership(rep.inf, rep.canonical_length, budgets)
-    graph = SlidingCircuitsGraph(base=x)
-    graph.vertices.append(rep)
-    graph.witness_to_base[rep] = witness
+    graph = SlidingCircuitsGraph(parent={rep: None})
+    parent = graph.parent
     # sort keys are unique per element, so the heap never compares elements
     frontier = [(rep.sort_key(), rep)]
-    known = {rep}
     # arrows of vertices not yet popped, read off a tau-conjugate popped earlier
     twisted: dict = {}
-    while frontier and known.isdisjoint(targets):
+    while frontier and parent.keys().isdisjoint(targets):
         _, y = heapq.heappop(frontier)
         arrows = twisted.pop(y, None)
         if arrows is None:
@@ -232,21 +233,14 @@ def compute_scg(
         for s in arrows:
             z = conjugate_simple(y, s)
             graph.arrows.append((y, s, z))
-            if z not in known:
-                if len(known) >= budgets.max_vertices:
+            if z not in parent:
+                if len(parent) >= budgets.max_vertices:
                     raise BudgetExceeded(
                         f"sliding circuits graph exceeded {budgets.max_vertices} vertices"
                     )
-                known.add(z)
-                graph.vertices.append(z)
-                graph.witness_to_base[z] = multiply(
-                    graph.witness_to_base[y], from_simple(st, s)
-                )
+                parent[z] = (y, s)
                 heapq.heappush(frontier, (z.sort_key(), z))
-    graph.vertices.sort(key=lambda v: v.sort_key())
-    for v, w in graph.witness_to_base.items():
-        if conjugate(x, w) != v:
-            raise VerificationError("witness bookkeeping broke")
+    graph.vertices = sorted(parent, key=GarsideElement.sort_key)
     return graph
 
 
@@ -270,9 +264,10 @@ def solve_csp(
     Otherwise the targets are the circuit states s_j of y's trajectory and
     their tau-images tau^k(s_j) = y^(P_j Delta^k), P_j the j-th prefix
     product, each element keeping its first (j, k) with j, then k,
-    increasing.  The graph of x is walked until it knows a target; the hit
-    is the first target found, and c = witness(hit) (P_j Delta^k)^-1.  None
-    needs the whole graph under the vertex budget.
+    increasing.  The graph of x is walked until it knows a target.  Only for
+    the first one found, the hit, is a conjugator composed and checked:
+    c = w_x g (P_j Delta^k)^-1, w_x the slide of x to its circuit and g =
+    `conjugator_to(hit)`.  None needs the whole graph under the vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
@@ -285,13 +280,13 @@ def solve_csp(
     for j in range(traj_y.entry_index, len(traj_y.states)):
         for k, t in enumerate(_tau_orbit(traj_y.states[j])):
             targets.setdefault(t, (j, k))
-    graph = compute_scg(x, budgets, targets=targets, start=(rep_x, wit_x))
-    hit = next((v for v in graph.witness_to_base if v in targets), None)
+    graph = compute_scg(x, budgets, targets=targets, start=rep_x)
+    hit = next((v for v in graph.parent if v in targets), None)
     if hit is None:
         return None
     j, k = targets[hit]
     to_hit = multiply(traj_y.prefix_product(j), delta_power(x.structure, k))
-    c = multiply(graph.witness_to_base[hit], inverse(to_hit))
+    c = multiply(multiply(wit_x, graph.conjugator_to(hit)), inverse(to_hit))
     return ConjugatorWitness(x, y, c)
 
 

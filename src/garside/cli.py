@@ -18,7 +18,7 @@ import sys
 from .artin import artin_structure
 from .bkl import bkl_structure
 from .circuits import compute_scg, solve_csp
-from .core import BudgetExceeded, Budgets, VerificationError, conjugate
+from .core import BudgetExceeded, Budgets, VerificationError
 from .experiments import (
     emit_csv,
     emit_json,
@@ -247,8 +247,6 @@ def _dispatch(args) -> int:
         if witness is None:
             print("NO")
             return EXIT_NOT_CONJUGATE
-        if conjugate(x, witness.conjugator) != y:
-            raise VerificationError("witness does not conjugate the inputs")
         if args.format == "json":
             print(json.dumps({"conjugate": True,
                               "witness": element_to_json(witness.conjugator)}))
@@ -272,7 +270,7 @@ def _dispatch(args) -> int:
         x = parse_word(st, args.word)
         k = _slidings(args)
         verdict = is_rigid(x)
-        chain = prefix_products(x, k)
+        chain = prefix_products(x, k, budgets.max_set_size)
         if args.format == "json":
             print(json.dumps({"rigid": verdict,
                               "prefix_products": [element_to_json(c) for c in chain]}))

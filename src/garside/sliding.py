@@ -117,13 +117,19 @@ def sliding_trajectory(
         cur = nxt
 
 
-def prefix_products(x: GarsideElement, k: int) -> list:
-    """[P_0(x), ..., P_k(x)] by one walk of k slidings from x."""
+def prefix_products(
+    x: GarsideElement, k: int, max_factors: int = Budgets.max_set_size
+) -> list:
+    """[P_0(x), ..., P_k(x)] by one walk; BudgetExceeded past max_factors factors."""
     st = x.structure
     out = [identity_element(st)]
+    factors = 0
     for _ in range(k):
         s = preferred_prefix(x)
         out.append(multiply(out[-1], from_simple(st, s)))
+        factors += len(out[-1].factors)
+        if factors > max_factors:
+            raise BudgetExceeded(f"prefix products exceeded {max_factors} factors")
         x = conjugate_simple(x, s)
     return out
 

@@ -246,7 +246,8 @@ def full_graph_conjugator(x, y):
     traj = sliding_trajectory(y)
     delta = delta_power(st, 1)
     graph = compute_scg(x)
-    for v, w in graph.witness_to_base.items():
+    wit_x = slide_to_circuit(x)[1]
+    for v in graph.parent:
         for j in range(traj.entry_index, len(traj.states)):
             t, k = traj.states[j], 0
             while t != v:
@@ -255,6 +256,7 @@ def full_graph_conjugator(x, y):
                     break
             if t == v:
                 to_v = multiply(prefix_products(y, j)[j], delta_power(st, k))
+                w = multiply(wit_x, graph.conjugator_to(v))
                 return multiply(w, inverse(to_v))
     return None
 

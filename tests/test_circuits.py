@@ -168,6 +168,7 @@ def test_scg_invariants(rng):
         for _ in range(12):
             x = random_element(st, rng)
             graph = compute_scg(x)
+            wit_x = slide_to_circuit(x)[1]
             assert graph.vertices
             index = {v: i for i, v in enumerate(graph.vertices)}
             out_degree = {v: 0 for v in graph.vertices}
@@ -182,7 +183,8 @@ def test_scg_invariants(rng):
                 assert in_sc(v)
                 assert out_degree[v] >= 1
                 assert out_degree[v] <= len(st.atoms)
-                assert conjugate(x, graph.witness_to_base[v]) == v
+                witness = multiply(wit_x, graph.conjugator_to(v))
+                assert conjugate(x, witness) == v
             # undirected connectivity
             seen = {graph.vertices[0]}
             stack = [graph.vertices[0]]
@@ -192,6 +194,30 @@ def test_scg_invariants(rng):
                         seen.add(w)
                         stack.append(w)
             assert seen == set(graph.vertices)
+
+
+def test_scg_parents_are_arrows_back_to_the_representative():
+    """Each vertex's parent is an arrow of the graph into it, and following
+    parents reaches the representative in fewer steps than there are
+    vertices."""
+    rng = random.Random(20261020)
+    for st in [artin_structure(4), artin_structure(5), bkl_structure(4)]:
+        for _ in range(8):
+            x = random_element(st, rng, length=10)
+            graph = compute_scg(x)
+            rep = slide_to_circuit(x)[0]
+            arrows = set(graph.arrows)
+            assert set(graph.parent) == set(graph.vertices)
+            assert graph.parent[rep] is None
+            for z in graph.vertices:
+                steps = 0
+                while graph.parent[z] is not None:
+                    y, s = graph.parent[z]
+                    assert (y, s, z) in arrows
+                    z = y
+                    steps += 1
+                    assert steps < len(graph.vertices)
+                assert z == rep
 
 
 def test_indecomposable_conjugators_against_brute_force():
@@ -352,7 +378,8 @@ def test_scg_walk_to_a_target_keeps_the_full_graph_witnesses(rng):
                 part = compute_scg(x, targets={v})
                 assert set(part.vertices) <= set(full.vertices)
                 assert set(part.arrows) <= set(full.arrows)
-                assert part.witness_to_base[v] == full.witness_to_base[v]
+                assert part.parent[v] == full.parent[v]
+                assert part.conjugator_to(v) == full.conjugator_to(v)
             # a target outside the class leaves the graph whole
             outside = multiply(delta_power(st, 1), full.vertices[0])
             whole = compute_scg(x, targets={outside})
@@ -395,8 +422,7 @@ def test_solver_hit_is_the_first_target_found():
                        "a(3,1) a(4,2)^-1 a(4,1) a(4,2) a(2,1)^-1 a(2,1)")
     traj = sliding_trajectory(y)
     targets = {t for s in traj.states[traj.entry_index:] for t in _tau_orbit(s)}
-    hits = [v for v in compute_scg(x, targets=targets).witness_to_base
-            if v in targets]
+    hits = [v for v in compute_scg(x, targets=targets).parent if v in targets]
     assert hits[0] != min(hits, key=GarsideElement.sort_key)
     assert solve_csp(x, y).conjugator == full_graph_conjugator(x, y)
 
@@ -439,11 +465,12 @@ def test_gcd_closure_of_sc_and_sss(rng):
         for _ in range(40):
             x = random_element(st, rng, length=rng.randint(0, 4))
             graph = compute_scg(x)
+            wit_x = slide_to_circuit(x)[1]
             sss = sss_with_witnesses(x)
             shift = delta_power(st, st.tau_order * rng.randint(-1, 1))
-            verts = sorted(graph.witness_to_base, key=lambda v: v.sort_key())
-            a = multiply(graph.witness_to_base[rng.choice(verts)], shift)
-            b = graph.witness_to_base[rng.choice(verts)]
+            verts = graph.vertices
+            a = multiply(multiply(wit_x, graph.conjugator_to(rng.choice(verts))), shift)
+            b = multiply(wit_x, graph.conjugator_to(rng.choice(verts)))
             assert in_sc(conjugate(x, a)) and in_sc(conjugate(x, b))
             assert in_sc(conjugate(x, meet(a, b)))
             members = sorted(sss, key=lambda v: v.sort_key())

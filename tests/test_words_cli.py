@@ -402,10 +402,17 @@ def test_cli_refuses_huge_n_before_building_the_structure(capsys, monkeypatch):
 
 
 def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
-    import garside.cli
+    """A composed conjugator with one atom too many is caught by the one
+    check of the answer."""
+    from garside.circuits import SlidingCircuitsGraph
 
-    monkeypatch.setattr(garside.cli, "conjugate",
-                        lambda x, c: identity_element(x.structure))
+    composed = SlidingCircuitsGraph.conjugator_to
+
+    def corrupted(graph, v):
+        c = composed(graph, v)
+        return multiply(c, from_simple(c.structure, c.structure.atoms[0]))
+
+    monkeypatch.setattr(SlidingCircuitsGraph, "conjugator_to", corrupted)
     code, out, err = run_cli(capsys, ["conj", "s1 s2 s3", "s2 s1 s3"])
     assert code == 4
     assert out == ""
@@ -478,6 +485,19 @@ def test_cli_rigid(capsys):
     assert lines[0] == "not rigid"
     assert lines[1] == "P_0: 1"
     assert len(lines) == 5
+
+
+def test_cli_rigid_chain_is_bounded(capsys):
+    """The prefix products of rigid -k hold about k^2 / 4 factors here; past
+    --max-set-size of them the command exits 3 before printing anything."""
+    argv = ["--n", "5", "rigid", "s1 s2^-1 s3 s4 s2", "-k", "100000"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == ""
+    assert "factors" in err
+    code, out, _ = run_cli(capsys, argv[:-1] + ["100", "--max-set-size", "2550"])
+    assert code == 0 and len(out.splitlines()) == 102
+    code, out, _ = run_cli(capsys, argv[:-1] + ["100", "--max-set-size", "2549"])
+    assert code == 3 and out == ""
 
 
 def test_cli_slidings_are_bounded(capsys):
