@@ -266,14 +266,15 @@ def solve_csp(
     product, each element keeping its first (j, k) with j, then k,
     increasing.  The graph of x is walked until it knows a target.  Only for
     the first one found, the hit, is a conjugator composed and checked:
-    c = w_x g (P_j Delta^k)^-1, w_x the slide of x to its circuit and g =
-    `conjugator_to(hit)`.  None needs the whole graph under the vertex budget.
+    c = w_x g (P_j Delta^k)^-1, w_x the prefix product of x's trajectory
+    that slides x to its circuit and g = `conjugator_to(hit)`.  None needs
+    the whole graph under the vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
     budgets = budgets or Budgets()
-    rep_y, _, traj_y = slide_to_circuit(y, budgets.max_trajectory_states)
-    rep_x, wit_x, _ = slide_to_circuit(x, budgets.max_trajectory_states)
+    rep_y, traj_y = slide_to_circuit(y, budgets.max_trajectory_states)
+    rep_x, traj_x = slide_to_circuit(x, budgets.max_trajectory_states)
     if (rep_x.inf, rep_x.canonical_length) != (rep_y.inf, rep_y.canonical_length):
         return None
     targets: dict = {}
@@ -285,6 +286,7 @@ def solve_csp(
     if hit is None:
         return None
     j, k = targets[hit]
+    wit_x = traj_x.prefix_product(traj_x.entry_index)
     to_hit = multiply(traj_y.prefix_product(j), delta_power(x.structure, k))
     c = multiply(multiply(wit_x, graph.conjugator_to(hit)), inverse(to_hit))
     return ConjugatorWitness(x, y, c)
@@ -325,7 +327,7 @@ def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
     in its whole orbit, and the fixpoints run at that one element.
     """
     budgets = budgets or Budgets()
-    rep, _, _ = slide_to_circuit(x, budgets.max_trajectory_states)
+    rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
     st = x.structure
     inf_s, ell_s = rep.inf, rep.canonical_length
     known: set = set()

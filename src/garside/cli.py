@@ -25,7 +25,7 @@ from .experiments import (
     enumerate_length_one_classes,
     statistics_row,
 )
-from .sliding import cyclic_sliding, is_rigid, prefix_products, sliding_trajectory
+from .sliding import is_rigid, prefix_products, sliding_trajectory
 from .words import WordError, element_to_json, parse_word, render_element, render_simple
 
 EXIT_OK = 0
@@ -190,9 +190,8 @@ def _dispatch(args) -> int:
     if args.command == "slide":
         x = parse_word(st, args.word)
         k = _slidings(args)
-        for _ in range(k):
-            x = cyclic_sliding(x)
-        print(_emit_element(x, args))
+        traj = sliding_trajectory(x, budgets.max_trajectory_states)
+        print(_emit_element(traj.state(k), args))
         return EXIT_OK
 
     if args.command == "traj":

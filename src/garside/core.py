@@ -51,6 +51,11 @@ class GarsideStructure:
     base class supplies derived operations (complement and tau powers) and
     small memo caches for the hot unary operations.
 
+    The prefix order is read off ``order_mask``: each simple has an int
+    mask, such that a <= b iff every bit of a's mask is set in b's.  The
+    subclass computes it in ``_order_mask`` and the base class memoises it
+    per simple, so a cache holds at most ``simple_count()`` entries.
+
     Attributes that subclasses must set: ``name``, ``atoms`` (tuple of
     simples, fixed order), ``delta``, ``trivial``, ``norm_of_delta`` and
     ``tau_order`` (the order of tau as a permutation of the simples).
@@ -69,6 +74,7 @@ class GarsideStructure:
         self._tau_cache: dict = {}
         self._tau_inv_cache: dict = {}
         self._norm_cache: dict = {}
+        self._order_mask_cache: dict = {}
         self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
         self._by_norm: list | None = None
 
@@ -81,8 +87,8 @@ class GarsideStructure:
         return s == self.delta
 
     def leq(self, a, b) -> bool:
-        """Prefix order a <= b on simples."""
-        raise NotImplementedError
+        """Prefix order a <= b on simples: containment of order masks."""
+        return not self.order_mask(a) & ~self.order_mask(b)
 
     def meet_simple(self, a, b):
         """Greatest common prefix of two simples."""
@@ -110,6 +116,11 @@ class GarsideStructure:
 
     def _norm(self, s) -> int:
         """Letter length of s as a positive word in the atoms."""
+        raise NotImplementedError
+
+    def _order_mask(self, s) -> int:
+        """The order relation of s as a bitmask: a <= b iff
+        _order_mask(a) & ~_order_mask(b) == 0."""
         raise NotImplementedError
 
     def simples(self) -> tuple:
@@ -165,6 +176,12 @@ class GarsideStructure:
         r = self._norm_cache.get(s)
         if r is None:
             r = self._norm_cache[s] = self._norm(s)
+        return r
+
+    def order_mask(self, s) -> int:
+        r = self._order_mask_cache.get(s)
+        if r is None:
+            r = self._order_mask_cache[s] = self._order_mask(s)
         return r
 
     # -- derived operations -------------------------------------------------

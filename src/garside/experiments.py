@@ -76,7 +76,7 @@ def enumerate_length_one_classes(
         x = multiply(delta_power(st, i), from_simple(st, s))
         if x in assigned:
             continue
-        rep, _, _ = slide_to_circuit(x, budgets.max_trajectory_states)
+        rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
         if rep.inf != i or rep.canonical_length != 1:
             continue
         sss = compute_sss(rep, budgets)

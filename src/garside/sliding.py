@@ -5,7 +5,8 @@ Everything here is a pure function of immutable elements.  Cyclic sliding
 is conjugation of x by its preferred prefix, the common prefix of the
 initial factors of x and x^-1.  Iterating it reaches a periodic circuit;
 the recurrent elements form the set of sliding circuits of the conjugacy
-class.  Only left normal forms and left sliding are used; cycling,
+class.  Iterating is done once per trajectory, which then answers s^i(x)
+for any i.  Only left normal forms and left sliding are used; cycling,
 decycling, right sliding and transport are test oracles.
 
 A trajectory may hold at most a given number of states, by default
@@ -53,11 +54,6 @@ def preferred_prefix(x: GarsideElement):
     return st.meet_simple(initial_factor(x), st.complement(final_factor(x)))
 
 
-def cyclic_sliding(x: GarsideElement) -> GarsideElement:
-    """s(x) = conjugate of x by its preferred prefix."""
-    return conjugate_simple(x, preferred_prefix(x))
-
-
 @dataclass(frozen=True)
 class SlidingTrajectory:
     """The orbit of iterated cyclic sliding from a starting element.
@@ -73,17 +69,23 @@ class SlidingTrajectory:
     entry_index: int
     period: int
 
+    def _index(self, i: int) -> int:
+        """Where s^i(start) and its preferred prefix sit in states and
+        prefixes, for any i >= 0: past the last state, the circuit repeats."""
+        if i < len(self.states):
+            return i
+        return self.entry_index + (i - self.entry_index) % self.period
+
+    def state(self, i: int) -> GarsideElement:
+        """s^i(start), for any i >= 0."""
+        return self.states[self._index(i)]
+
     def prefix_product(self, i: int) -> GarsideElement:
         """P_i(start) = p(start) p(s(start)) ... p(s^{i-1}(start))."""
         st = self.start.structure
         out = identity_element(st)
         for j in range(i):
-            if j < len(self.prefixes):
-                s = self.prefixes[j]
-            else:
-                k = self.entry_index + (j - self.entry_index) % self.period
-                s = self.prefixes[k]
-            out = multiply(out, from_simple(st, s))
+            out = multiply(out, from_simple(st, self.prefixes[self._index(j)]))
         return out
 
 
@@ -137,13 +139,12 @@ def prefix_products(
 def slide_to_circuit(x: GarsideElement, max_states: int = Budgets.max_trajectory_states):
     """Iterate sliding into the periodic part.
 
-    Returns (representative, witness, trajectory): the first recurrent
-    state, an element conjugating x to it, and the full trajectory.
+    Returns (representative, trajectory): the first recurrent state and the
+    full trajectory, whose ``prefix_product(entry_index)`` conjugates x to
+    the representative.
     """
     traj = sliding_trajectory(x, max_states)
-    rep = traj.states[traj.entry_index]
-    witness = traj.prefix_product(traj.entry_index)
-    return rep, witness, traj
+    return traj.states[traj.entry_index], traj
 
 
 def is_rigid(x: GarsideElement) -> bool:

@@ -16,7 +16,9 @@ from garside.core import (
     left_normal_form,
     multiply,
 )
-from garside.sliding import prefix_products, slide_to_circuit, sliding_trajectory
+from garside.sliding import prefix_products, sliding_trajectory
+
+from oracles import slide_witness
 
 
 def pytest_addoption(parser):
@@ -182,7 +184,7 @@ def sss_with_witnesses(x):
     """Summit-set oracle: closure of a summit representative under
     conjugation by every simple element, keeping a conjugator per member."""
     st = x.structure
-    rep, wit, _ = slide_to_circuit(x)
+    rep, wit = slide_witness(x)
     out = {rep: wit}
     frontier = [rep]
     while frontier:
@@ -246,7 +248,7 @@ def full_graph_conjugator(x, y):
     traj = sliding_trajectory(y)
     delta = delta_power(st, 1)
     graph = compute_scg(x)
-    wit_x = slide_to_circuit(x)[1]
+    wit_x = slide_witness(x)[1]
     for v in graph.parent:
         for j in range(traj.entry_index, len(traj.states)):
             t, k = traj.states[j], 0

@@ -1,9 +1,11 @@
 """Desk-scale oracles that no command calls: minimal conjugators into the
 invariant sets by breadth-first search, the conjugacy decision, the
-greedy lattice operations on elements, the reverse structure with the
-right-handed variants of sliding and transport, cycling and decycling,
-the membership tests for the invariant subsets of a class, simples from
-words and non-crossing partitions by filtering all set partitions."""
+prefix order and the blockwise meet on simples by loops, the greedy
+lattice operations on elements, cyclic sliding one step at a time, the
+reverse structure with the right-handed variants of sliding and
+transport, cycling and decycling, the membership tests for the invariant
+subsets of a class, simples from words and non-crossing partitions by
+filtering all set partitions."""
 
 from garside.bkl import is_noncrossing
 from garside.circuits import BudgetExceeded, compute_scg, solve_csp
@@ -21,7 +23,6 @@ from garside.core import (
     multiply,
 )
 from garside.sliding import (
-    cyclic_sliding,
     initial_factor,
     preferred_prefix,
     slide_to_circuit,
@@ -29,6 +30,55 @@ from garside.sliding import (
 )
 
 MAX_NORM = 20
+
+
+# -- sliding step by step ------------------------------------------------------
+
+def cyclic_sliding(x: GarsideElement) -> GarsideElement:
+    """s(x) = conjugate of x by its preferred prefix: one step of
+    sliding_trajectory."""
+    return conjugate_simple(x, preferred_prefix(x))
+
+
+def slide_witness(x: GarsideElement):
+    """(representative, witness): the first recurrent state of x's
+    trajectory and the prefix product that conjugates x to it."""
+    rep, traj = slide_to_circuit(x)
+    return rep, traj.prefix_product(traj.entry_index)
+
+
+# -- the prefix order on simples, by loops over the encodings -----------------
+
+def inversion_leq(a: tuple, b: tuple) -> bool:
+    """Classical prefix order: every inversion of the permutation a is
+    one of b."""
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] > a[j] and b[i] < b[j]:
+                return False
+    return True
+
+
+def refinement_leq(a: tuple, b: tuple) -> bool:
+    """Dual prefix order: every block of the partition a lies inside a
+    block of b."""
+    image: dict = {}
+    for la, lb in zip(a, b):
+        if la in image:
+            if image[la] != lb:
+                return False
+        else:
+            image[la] = lb
+    return True
+
+
+def blockwise_meet(n: int, a: tuple, b: tuple) -> tuple:
+    """Dual meet: the blockwise meet, labelled by first occurrence in one
+    pass; both arguments carry canonical labels below n, so x * n + y keys
+    a pair."""
+    seen: dict = {}
+    return tuple([seen.setdefault(x * n + y, len(seen)) for x, y in zip(a, b)])
 
 
 # -- right-handed simple operations and the reverse structure -----------------
@@ -282,7 +332,7 @@ def in_sc(x: GarsideElement, max_states: int = 10**6) -> bool:
 
 def in_sss(x: GarsideElement, max_states: int = 10**6) -> bool:
     """x has the summit inf and sup of its class, those of its circuit."""
-    rep, _, _ = slide_to_circuit(x, max_states)
+    rep, _ = slide_to_circuit(x, max_states)
     return x.inf == rep.inf and x.sup == rep.sup
 
 
@@ -390,7 +440,7 @@ def minimal_sc_conjugator(x: GarsideElement, max_norm: int = MAX_NORM) -> Garsid
 
 def minimal_sss_conjugator(x: GarsideElement, max_norm: int = MAX_NORM) -> GarsideElement:
     """The minimal positive element conjugating x into its super summit set."""
-    rep, _, _ = slide_to_circuit(x)
+    rep, _ = slide_to_circuit(x)
     inf_s, ell_s = rep.inf, rep.canonical_length
 
     def member(y: GarsideElement) -> bool:

@@ -24,10 +24,11 @@ from garside.core import (
     multiply,
 )
 from garside.experiments import enumerate_length_one_classes, row_to_csv, statistics_row
-from garside.sliding import cyclic_sliding, is_rigid, preferred_prefix
+from garside.sliding import is_rigid, preferred_prefix
 
 from conftest import random_element, random_word, structures_for_properties
 from oracles import (
+    cyclic_sliding,
     minimal_sc_conjugator,
     prefix_leq,
     prefix_product,

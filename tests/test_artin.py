@@ -12,10 +12,11 @@ from garside.artin import (
     _invert,
     artin_structure,
 )
+from garside.cli import main
 from garside.core import from_simple, left_normal_form
 
 from conftest import greedy_meet_simple
-from oracles import prefix_leq, word_to_simple
+from oracles import inversion_leq, prefix_leq, word_to_simple
 
 
 def test_descriptor_basics():
@@ -153,8 +154,9 @@ def lattice_pairs(st, rng, count):
 
 
 def test_meet_and_join_match_greedy_oracles():
-    """The insertion-pass meet and join against the greedy meet: every pair
-    for n <= 5, and fixed-seed pairs for n = 6..8."""
+    """The insertion-pass meet and join against the greedy meet, and the
+    mask order against the inversion loop: every pair for n <= 5, and
+    fixed-seed pairs for n = 6..8 (21,100 at n = 8)."""
     rng = random.Random(20261018)
     for n in range(2, 9):
         st = artin_structure(n)
@@ -163,5 +165,16 @@ def test_meet_and_join_match_greedy_oracles():
         else:
             pairs = lattice_pairs(st, rng, 7_000)
         for a, b in pairs:
+            assert st.leq(a, b) == inversion_leq(a, b)
+            assert st.leq(b, a) == inversion_leq(b, a)
             assert st.meet_simple(a, b) == greedy_meet_simple(st, a, b)
             assert st.join_simple(a, b) == greedy_join_simple(st, a, b)
+
+
+def test_order_mask_cache_holds_at_most_the_simples(capsys):
+    assert main(["--n", "5", "table"]) == 0
+    capsys.readouterr()
+    st = artin_structure(5)
+    assert 0 < len(st._order_mask_cache) <= st.simple_count()
+    for s in st.simples():
+        assert st.order_mask(s).bit_count() == _inversions(s)

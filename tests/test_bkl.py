@@ -24,7 +24,14 @@ from garside.core import (
 )
 from garside.words import band_to_sigma_word
 
-from oracles import filtered_noncrossing_partitions, meet, prefix_leq, suffix_leq
+from oracles import (
+    blockwise_meet,
+    filtered_noncrossing_partitions,
+    meet,
+    prefix_leq,
+    refinement_leq,
+    suffix_leq,
+)
 
 
 def catalan(n):
@@ -66,6 +73,17 @@ def merge_and_uncross_join(a, b):
         pair = _crossing_pair(labels)
     seen: dict = {}
     return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
+
+
+def lattice_pairs(st, rng):
+    """Every pair of simples for n <= 6; for larger n, every pair of Delta,
+    the trivial element and the atoms, and 20,000 random pairs."""
+    simples = st.simples()
+    if st.n <= 6:
+        return [(a, b) for a in simples for b in simples]
+    special = [st.delta, st.trivial, *st.atoms]
+    pairs = [(a, b) for a in special for b in special]
+    return pairs + [(rng.choice(simples), rng.choice(simples)) for _ in range(20_000)]
 
 
 def test_descriptor_basics():
@@ -169,20 +187,18 @@ def test_blockwise_meet_agrees_with_generic_greedy():
 
 
 def test_one_pass_meet_matches_relabelled_pairs():
-    """The keyed one-pass labelling against relabelling the pairs of labels:
-    every pair for n <= 6, and fixed-seed pairs for n = 8."""
+    """The mask meet (the AND of the two same-block relations, decoded)
+    against relabelling the pairs of labels and against the one-pass keyed
+    labelling, and the mask order against the refinement loop: every pair
+    for n <= 6, and fixed-seed pairs for n = 7, 8."""
     rng = random.Random(20261018)
     for n in range(2, 9):
         st = bkl_structure(n)
-        simples = st.simples()
-        if n <= 6:
-            pairs = [(a, b) for a in simples for b in simples]
-        else:
-            special = [st.delta, st.trivial, *st.atoms]
-            pairs = [(a, b) for a in special for b in special]
-            pairs += [(rng.choice(simples), rng.choice(simples)) for _ in range(20_000)]
-        for a, b in pairs:
-            assert st.meet_simple(a, b) == _canonical_labels(list(zip(a, b)))
+        for a, b in lattice_pairs(st, rng):
+            m = st.meet_simple(a, b)
+            assert m == _canonical_labels(list(zip(a, b))) == blockwise_meet(n, a, b)
+            assert st.leq(a, b) == refinement_leq(a, b)
+            assert st.leq(b, a) == refinement_leq(b, a)
 
 
 def test_band_index_matches_the_atom_table():
@@ -243,12 +259,17 @@ def test_suffix_order_is_refinement():
 
 
 def test_join_matches_merge_and_uncross_oracle():
-    for n in (2, 3, 4, 5, 6):
+    """The mask join against merging and uncrossing blocks, and against
+    partial^-1 of the blockwise meet of the complements: every pair for
+    n <= 6, and fixed-seed pairs for n = 8."""
+    rng = random.Random(20261019)
+    for n in (2, 3, 4, 5, 6, 8):
         st = bkl_structure(n)
-        simples = st.simples()
-        for a in simples:
-            for b in simples:
-                assert st.join_simple(a, b) == merge_and_uncross_join(a, b)
+        for a, b in lattice_pairs(st, rng):
+            j = st.join_simple(a, b)
+            assert j == merge_and_uncross_join(a, b)
+            assert j == st.complement_inv(
+                blockwise_meet(n, st.complement(a), st.complement(b)))
 
 
 def test_from_perm_checks_survive_filled_caches(capsys):
@@ -261,5 +282,14 @@ def test_from_perm_checks_survive_filled_caches(capsys):
         with pytest.raises(VerificationError):
             st.from_perm(perm)
         assert perm not in st._from_perm_cache
-    for cache in (st._perm_cache, st._perm_inv_cache, st._from_perm_cache):
+    # the same-block relation of {1,3},{2,4}, and one that is not transitive
+    crossing_mask = 1 << _band_index(3, 1) | 1 << _band_index(4, 2)
+    open_chain = 1 << _band_index(2, 1) | 1 << _band_index(3, 2)
+    for mask in (crossing_mask, open_chain):
+        with pytest.raises(VerificationError):
+            st.from_mask(mask)
+        assert mask not in st._from_mask_cache
+    for cache in (st._perm_cache, st._perm_inv_cache, st._from_perm_cache,
+                  st._order_mask_cache, st._from_mask_cache,
+                  st._complement_masks, st._join_cache):
         assert 0 < len(cache) <= st.simple_count()

@@ -32,7 +32,6 @@ from garside.core import (
     power,
 )
 from garside.sliding import (
-    cyclic_sliding,
     is_rigid,
     preferred_prefix,
     prefix_products,
@@ -48,6 +47,7 @@ from conftest import (
     sss_with_witnesses,
 )
 from oracles import (
+    cyclic_sliding,
     in_sc,
     in_sss,
     iterated_transport,
@@ -58,6 +58,7 @@ from oracles import (
     minimal_sss_conjugator,
     prefix_leq,
     prefix_product,
+    slide_witness,
     sliding_circuit_set,
     solve_cdp,
 )
@@ -168,7 +169,7 @@ def test_scg_invariants(rng):
         for _ in range(12):
             x = random_element(st, rng)
             graph = compute_scg(x)
-            wit_x = slide_to_circuit(x)[1]
+            wit_x = slide_witness(x)[1]
             assert graph.vertices
             index = {v: i for i, v in enumerate(graph.vertices)}
             out_degree = {v: 0 for v in graph.vertices}
@@ -229,7 +230,7 @@ def test_indecomposable_conjugators_against_brute_force():
                               delta_seed(artin_structure(4))]),
     ]:
         for x in seeds:
-            rep, _, _ = slide_to_circuit(x)
+            rep, _ = slide_to_circuit(x)
             member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
             got = indecomposable_conjugators(rep, member)
             successes = [
@@ -465,7 +466,7 @@ def test_gcd_closure_of_sc_and_sss(rng):
         for _ in range(40):
             x = random_element(st, rng, length=rng.randint(0, 4))
             graph = compute_scg(x)
-            wit_x = slide_to_circuit(x)[1]
+            wit_x = slide_witness(x)[1]
             sss = sss_with_witnesses(x)
             shift = delta_power(st, st.tau_order * rng.randint(-1, 1))
             verts = graph.vertices
@@ -536,7 +537,7 @@ def test_minimal_conjugator_trivial_on_members(rng):
         assert minimal_sc_conjugator(seed) == identity_element(st)
     for _ in range(10):
         x = random_element(st, rng)
-        rep, _, _ = slide_to_circuit(x)
+        rep, _ = slide_to_circuit(x)
         assert minimal_sc_conjugator(rep) == identity_element(st)
         assert minimal_sss_conjugator(rep) == identity_element(st)
 
@@ -550,7 +551,7 @@ def test_minimal_conjugator_on_rigid_classes_is_sliding(rng):
         for y in sorted(sss_with_witnesses(x), key=lambda v: v.sort_key()):
             c = minimal_sc_conjugator(y)
             # c(y) = P_i(y) once the trajectory has entered its circuit
-            _, _, traj = slide_to_circuit(y)
+            _, traj = slide_to_circuit(y)
             m = traj.entry_index
             for i in range(m, m + 3):
                 assert prefix_product(y, i) == c

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,23 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_imports_are_relative_or_stdlib():
+    # the package is pure Python on the standard library alone
+    found = []
+    for path in sorted(Path(garside.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 

@@ -18,6 +18,7 @@ from garside.core import (
     left_normal_form,
     multiply,
 )
+from garside.sliding import sliding_trajectory
 from garside.words import (
     WordError,
     _render_word,
@@ -28,7 +29,7 @@ from garside.words import (
 )
 
 from conftest import random_element
-from oracles import word_to_simple
+from oracles import cyclic_sliding, word_to_simple
 
 
 def el(st, ks):
@@ -232,6 +233,29 @@ def test_cli_slide(capsys):
     # a circuit element is fixed by sliding
     code, out, _ = run_cli(capsys, ["slide", "s2 s1 s3", "-k", "7"])
     assert parse_word(st, out.strip()) == parse_word(st, "s2 s1 s3")
+
+
+def test_cli_slide_k_is_k_fold_sliding(capsys):
+    """slide -k K reads s^K(x) off the trajectory of x; it must equal K
+    slidings one at a time, for K across the transient and three periods."""
+    rng = random.Random(20261020)
+    shapes = set()
+    for st, flags in ((artin_structure(5), ["--n", "5"]),
+                      (bkl_structure(5), ["--structure", "bkl", "--n", "5"])):
+        letters = ([f"s{k}" for k in range(1, 5)] if isinstance(st, ArtinStructure)
+                   else [f"a({t},{u})" for t in range(2, 6) for u in range(1, t)])
+        for _ in range(6):
+            word = " ".join(rng.choice(letters) + rng.choice(["", "^-1"]) for _ in range(12))
+            x = parse_word(st, word)
+            traj = sliding_trajectory(x)
+            shapes.add((traj.entry_index > 0, traj.period > 1))
+            y = x
+            for k in range(traj.entry_index + 3 * traj.period + 1):
+                code, out, _ = run_cli(capsys, [*flags, "slide", word, "-k", str(k)])
+                assert (code, out) == (0, render_element(y) + "\n")
+                y = cyclic_sliding(y)
+    # transients and periods longer than one state are both covered
+    assert {(True, True), (False, True), (True, False)} <= shapes
 
 
 def test_cli_traj(capsys):
