@@ -154,6 +154,10 @@ class ArtinStructure(GarsideStructure):
                 bit <<= 1
         return m
 
+    def to_perm(self, s) -> tuple:
+        """A permutation braid is encoded by its permutation."""
+        return s
+
     def simples(self) -> tuple:
         if self._simples is None:
             self._simples = tuple(sorted(permutations(range(1, self.n + 1))))

@@ -7,16 +7,19 @@ vertex back into the set, so does their meet.  Consequently the minimal
 nontrivial conjugators at a vertex are simple, there are at most as many
 of them as atoms, and the graph they span is finite and connected.
 
-The solver slides both inputs onto circuits.  A circuit element is super
-summit, so its inf and canonical length are the summit invariants of its
-class; when those differ the answer is NO and no graph is built.
-Otherwise the graph of x is walked, by `compute_scg` with targets, until
-it meets the circuit of y or a tau-image of it.  SC(y) is a union of whole
-circuits and closed under tau, so every such element is a vertex, and the
-trajectory of y already gives a conjugator to each: a prefix product of
-the slidings times a power of Delta.  Only a NO needs the whole graph.
-The graph records the arrow that first reached each vertex; a YES composes
-a conjugator along these for its hit alone, and checks it once.
+The solver first compares two class invariants read off the normal
+forms, the exponent sum and the cycle type of the underlying permutation;
+when they differ the answer is NO and nothing is slid.  Otherwise it
+slides both inputs onto circuits.  A circuit element is super summit, so
+its inf and canonical length are the summit invariants of its class; when
+those differ the answer is NO and no graph is built.  Otherwise the graph
+of x is walked, by `compute_scg` with targets, until it meets the circuit
+of y or a tau-image of it.  SC(y) is a union of whole circuits and closed
+under tau, so every such element is a vertex, and the trajectory of y
+already gives a conjugator to each: a prefix product of the slidings times
+a power of Delta.  Only a NO needs the whole graph.  The graph records the
+arrow that first reached each vertex; a YES composes a conjugator along
+these for its hit alone, and checks it once.
 
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
@@ -255,23 +258,58 @@ class ConjugatorWitness:
             raise VerificationError("witness does not conjugate source to target")
 
 
+def _class_invariants(x: GarsideElement) -> tuple:
+    """(exponent sum, cycle type) of x = Delta^p x_1 ... x_r: its images
+    under the abelianisation B_n -> Z and, up to conjugacy, under
+    B_n -> S_n, so equal on conjugate elements.
+
+    Every atom, a band generator too (a conjugate of sigma_1), has exponent
+    sum 1, so a simple adds its norm.  The permutation is the product of
+    those of Delta^p and of the factors; Delta^tau_order is a pure braid,
+    so p counts mod tau_order there.  The cycle type is the sorted list of
+    its cycle lengths.
+    """
+    st = x.structure
+    exponent = x.p * st.norm_of_delta + sum(map(st.norm, x.factors))
+    perm = st.to_perm(st.trivial)
+    for s in (st.delta,) * (x.p % st.tau_order) + x.factors:
+        q = st.to_perm(s)
+        perm = [q[i - 1] for i in perm]
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i] - 1
+            length += 1
+        if length:
+            cycles.append(length)
+    return exponent, sorted(cycles)
+
+
 def solve_csp(
     x: GarsideElement, y: GarsideElement, budgets: Budgets | None = None
 ) -> ConjugatorWitness | None:
     """Conjugacy search: a verified witness c with x^c = y, or None.
 
-    Different summit invariants answer None before any graph is built.
+    The filters run cheapest first.  Different class invariants (exponent
+    sum, cycle type of the permutation) answer None before either element
+    is slid; then different summit invariants of the two circuit elements
+    (inf, canonical length) answer None before any graph is built.
     Otherwise the targets are the circuit states s_j of y's trajectory and
     their tau-images tau^k(s_j) = y^(P_j Delta^k), P_j the j-th prefix
     product, each element keeping its first (j, k) with j, then k,
     increasing.  The graph of x is walked until it knows a target.  Only for
     the first one found, the hit, is a conjugator composed and checked:
     c = w_x g (P_j Delta^k)^-1, w_x the prefix product of x's trajectory
-    that slides x to its circuit and g = `conjugator_to(hit)`.  None needs
-    the whole graph under the vertex budget.
+    that slides x to its circuit and g = `conjugator_to(hit)`.  None from
+    the walk needs the whole graph under the vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
+    if _class_invariants(x) != _class_invariants(y):
+        return None
     budgets = budgets or Budgets()
     rep_y, traj_y = slide_to_circuit(y, budgets.max_trajectory_states)
     rep_x, traj_x = slide_to_circuit(x, budgets.max_trajectory_states)

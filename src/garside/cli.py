@@ -25,7 +25,7 @@ from .experiments import (
     enumerate_length_one_classes,
     statistics_row,
 )
-from .sliding import is_rigid, prefix_products, sliding_trajectory
+from .sliding import is_rigid, sliding_trajectory
 from .words import WordError, element_to_json, parse_word, render_element, render_simple
 
 EXIT_OK = 0
@@ -269,7 +269,8 @@ def _dispatch(args) -> int:
         x = parse_word(st, args.word)
         k = _slidings(args)
         verdict = is_rigid(x)
-        chain = prefix_products(x, k, budgets.max_set_size)
+        traj = sliding_trajectory(x, budgets.max_trajectory_states)
+        chain = traj.prefix_products(k, budgets.max_set_size)
         if args.format == "json":
             print(json.dumps({"rigid": verdict,
                               "prefix_products": [element_to_json(c) for c in chain]}))

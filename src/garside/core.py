@@ -123,6 +123,12 @@ class GarsideStructure:
         _order_mask(a) & ~_order_mask(b) == 0."""
         raise NotImplementedError
 
+    def to_perm(self, s) -> tuple:
+        """The underlying permutation of s in one-line notation, so that
+        the permutation of a product of simples is the composition of
+        theirs, (a * b)(i) = b(a(i))."""
+        raise NotImplementedError
+
     def simples(self) -> tuple:
         """All simple elements, sorted: the canonical total order on simples
         is the order of their encodings as tuples."""

@@ -88,6 +88,19 @@ class SlidingTrajectory:
             out = multiply(out, from_simple(st, self.prefixes[self._index(j)]))
         return out
 
+    def prefix_products(self, k: int, max_factors: int = Budgets.max_set_size) -> list:
+        """[P_0(start), ..., P_k(start)], each the one before times one
+        prefix; BudgetExceeded past max_factors factors in all."""
+        st = self.start.structure
+        out = [identity_element(st)]
+        factors = 0
+        for j in range(k):
+            out.append(multiply(out[-1], from_simple(st, self.prefixes[self._index(j)])))
+            factors += len(out[-1].factors)
+            if factors > max_factors:
+                raise BudgetExceeded(f"prefix products exceeded {max_factors} factors")
+        return out
+
 
 def sliding_trajectory(
     x: GarsideElement, max_states: int = Budgets.max_trajectory_states
@@ -117,23 +130,6 @@ def sliding_trajectory(
         seen[nxt] = len(states)
         states.append(nxt)
         cur = nxt
-
-
-def prefix_products(
-    x: GarsideElement, k: int, max_factors: int = Budgets.max_set_size
-) -> list:
-    """[P_0(x), ..., P_k(x)] by one walk; BudgetExceeded past max_factors factors."""
-    st = x.structure
-    out = [identity_element(st)]
-    factors = 0
-    for _ in range(k):
-        s = preferred_prefix(x)
-        out.append(multiply(out[-1], from_simple(st, s)))
-        factors += len(out[-1].factors)
-        if factors > max_factors:
-            raise BudgetExceeded(f"prefix products exceeded {max_factors} factors")
-        x = conjugate_simple(x, s)
-    return out
 
 
 def slide_to_circuit(x: GarsideElement, max_states: int = Budgets.max_trajectory_states):

@@ -16,7 +16,7 @@ from garside.core import (
     left_normal_form,
     multiply,
 )
-from garside.sliding import prefix_products, sliding_trajectory
+from garside.sliding import sliding_trajectory
 
 from oracles import slide_witness
 
@@ -257,7 +257,7 @@ def full_graph_conjugator(x, y):
                 if t == traj.states[j]:
                     break
             if t == v:
-                to_v = multiply(prefix_products(y, j)[j], delta_power(st, k))
+                to_v = multiply(traj.prefix_product(j), delta_power(st, k))
                 w = multiply(wit_x, graph.conjugator_to(v))
                 return multiply(w, inverse(to_v))
     return None

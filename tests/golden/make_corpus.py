@@ -136,6 +136,7 @@ def invocations() -> list:
         ["--n", "1001", "nf", "1"],
         ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2"],
         ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2 s3"],
+        ["--n", "4", "conj", "--max-vertices", "1", "s1 s1 s3^-1", "s1 s1 s2^-1"],
     ]
     b6 = ["--structure", "bkl", "--n", "6"]
     cases += [
@@ -151,10 +152,19 @@ def invocations() -> list:
               "a(6,1)^-1 a(3,2)^-1 a(6,4)^-1 a(6,5) a(6,2)^-1 a(6,4) a(5,1)^-1 a(6,4)^-1",
               "a(4,1)^-1 a(6,3)^-1 a(3,1) a(6,2)^-1 a(6,1)^-1 a(3,2)^-1 a(6,4)^-1 a(6,5) "
               "a(6,2)^-1 a(6,4) a(5,1)^-1 a(6,4)^-1 a(6,2) a(3,1)^-1 a(6,3) a(4,1)"],
-        # NO with equal summit invariants (inf -1, canonical length 2)
+        # NO with equal summit invariants (inf -1, canonical length 2); the
+        # exponent sums differ (-2 and 0), so no element is slid
         b6 + ["conj",
               "a(6,4) a(4,3)^-1 a(5,2)^-1 a(6,3) a(6,3)^-1 a(4,3) a(4,2)^-1 a(6,1)^-1",
               "a(5,1) a(5,2) a(6,3)^-1 a(4,3) a(6,1)^-1 a(4,3)^-1 a(5,2)^-1 a(5,4)"],
+    ]
+    cases += [
+        # NO with equal exponent sum and cycle type, from the summit
+        # invariants, then from whole graphs
+        ["conj", "s1", "s2 s2 s1^-1"],
+        ["--structure", "bkl", "conj", "a(2,1) a(4,3) a(2,1)^-1", "a(3,1) a(3,2)^-1 a(3,1)"],
+        ["--n", "4", "conj", "s1 s1 s3^-1", "s1 s1 s2^-1"],
+        ["--structure", "bkl", "conj", "a(4,2) a(4,3)^-1 a(2,1)", "a(4,3) a(3,2)^-1 a(2,1)"],
     ]
     cases += [
         # YES at a Delta-conjugate of y's circuit, found before y's

@@ -10,6 +10,7 @@ from garside.circuits import (
     BudgetExceeded,
     Budgets,
     _SCMembership,
+    _class_invariants,
     _summit_conjugator,
     _tau_orbit,
     compute_scg,
@@ -34,7 +35,6 @@ from garside.core import (
 from garside.sliding import (
     is_rigid,
     preferred_prefix,
-    prefix_products,
     slide_to_circuit,
     sliding_trajectory,
 )
@@ -43,6 +43,7 @@ from garside.words import parse_word
 from conftest import (
     full_graph_conjugator,
     random_element,
+    random_word,
     scan_indecomposable_conjugators,
     sss_with_witnesses,
 )
@@ -338,6 +339,99 @@ def test_solver_distinguishes_classes():
     assert not solve_cdp(el(st4, [1, 3]), el(st4, [2, 1]))
 
 
+def word_invariants(st, word):
+    """Exponent sum and cycle type oracle, read letter by letter off a word
+    of (simple, exponent) letters: a letter s^e adds e norm(s), and its
+    permutation is that of s, inverted when e < 0, taken |e| times."""
+    exponent = 0
+    perm = list(range(1, st.n + 1))
+    for s, e in word:
+        exponent += e * st.norm(s)
+        q = st.to_perm(s)
+        if e < 0:
+            q = [q.index(i) + 1 for i in range(1, st.n + 1)]
+        for _ in range(abs(e)):
+            perm = [q[i - 1] for i in perm]
+    cycles = []
+    rest = set(range(1, st.n + 1))
+    while rest:
+        i, length = min(rest), 0
+        while i in rest:
+            rest.remove(i)
+            i, length = perm[i - 1], length + 1
+        cycles.append(length)
+    return exponent, sorted(cycles)
+
+
+def test_class_invariants_are_class_functions():
+    """The invariants read off the normal form equal those read off the
+    word, and agree on x and x^c, for fixed-seed x and c over both
+    structures and n = 3..7, with Delta^k letters for negative k and |k|
+    above the order of tau."""
+    rng = random.Random(20261019)
+    for n in range(3, 8):
+        for st in (artin_structure(n), bkl_structure(n)):
+            e = st.tau_order
+            for k in (-2 * e - 1, -e, -1, 0, 1, e + 1, 3 * e - 1):
+                word = random_word(st, rng, 6) + [(st.delta, k)] + random_word(st, rng, 4)
+                x = left_normal_form(st, word)
+                inv = _class_invariants(x)
+                assert inv == word_invariants(st, word)
+                c = left_normal_form(
+                    st, [(st.delta, -k - 1)] + random_word(st, rng, 5))
+                assert _class_invariants(conjugate(x, c)) == inv
+
+
+def test_class_invariants_never_refuse_a_conjugate():
+    """On fixed-seed independent pairs, whenever the invariants differ, the
+    whole sliding circuits graph of x holds no state of y's circuit: the
+    early NO is the one the graph gives."""
+    rng = random.Random(20261020)
+    differ = 0
+    for st, letters in [(artin_structure(4), 10), (artin_structure(5), 12),
+                        (bkl_structure(4), 10), (bkl_structure(5), 10)]:
+        for _ in range(8):
+            x = random_element(st, rng, length=letters)
+            y = random_element(st, rng, length=letters)
+            if _class_invariants(x) == _class_invariants(y):
+                continue
+            differ += 1
+            traj = sliding_trajectory(y)
+            vertices = set(compute_scg(x).vertices)
+            assert vertices.isdisjoint(traj.states[traj.entry_index:])
+    assert differ >= 20
+
+
+def test_solver_no_from_class_invariants_slides_nothing(monkeypatch):
+    """Pairs that differ in exponent sum or in cycle type are answered
+    before either element is slid; a pair with equal class invariants
+    still slides both and walks x's graph."""
+    import garside.circuits
+
+    calls = []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("slide_to_circuit", "compute_scg"):
+        monkeypatch.setattr(garside.circuits, name, counted(getattr(garside.circuits, name)))
+    st = artin_structure(4)
+    # exponent sums 3 and 2; then equal sums, cycle types (2, 2) and (1, 3)
+    for a, b in (("s1 s2 s3", "s1 s2"), ("s1 s3", "s2 s1")):
+        calls.clear()
+        assert solve_csp(parse_word(st, a), parse_word(st, b)) is None
+        assert calls == []
+    # equal class and summit invariants, not conjugate
+    x, y = parse_word(st, "s1 s1 s3^-1"), parse_word(st, "s1 s1 s2^-1")
+    assert _class_invariants(x) == _class_invariants(y)
+    calls.clear()
+    assert solve_csp(x, y) is None
+    assert sorted(calls) == ["compute_scg", "slide_to_circuit", "slide_to_circuit"]
+
+
 def test_solver_random_conjugates(rng):
     for st in [artin_structure(4), bkl_structure(4)]:
         for _ in range(25):
@@ -586,9 +680,9 @@ def test_first_rigid_prefix_product_is_the_minimal_rigid_conjugator():
                     sss = compute_sss(seed)
                     covered |= sss
                     for x in sorted(sss, key=lambda v: v.sort_key()):
-                        states = sliding_trajectory(x).states
-                        n = next(i for i, z in enumerate(states) if is_rigid(z))
-                        assert prefix_products(x, n)[n] == minimal_conjugator(x, member)
+                        traj = sliding_trajectory(x)
+                        n = next(i for i, z in enumerate(traj.states) if is_rigid(z))
+                        assert traj.prefix_product(n) == minimal_conjugator(x, member)
                         checked += 1
                         slid += n > 0
     assert checked == 992

@@ -23,7 +23,6 @@ from garside.sliding import (
     initial_factor,
     is_rigid,
     preferred_prefix,
-    prefix_products,
     slide_to_circuit,
     sliding_trajectory,
 )
@@ -547,8 +546,9 @@ def test_prefix_products_conjugate_along_trajectory(rng):
 
 
 def test_prefix_products_are_one_walk(rng, monkeypatch):
-    """The chain P_0..P_k equals the products taken one by one, and costs
-    k preferred prefixes, not k^2 / 2."""
+    """The chain P_0..P_k equals the products taken one by one, also past
+    the trajectory's last state, and is read off one trajectory: no
+    preferred prefix beyond the trajectory's own, not k^2 / 2."""
     import garside.sliding
 
     calls = []
@@ -564,5 +564,6 @@ def test_prefix_products_are_one_walk(rng, monkeypatch):
             x = random_element(st, rng, length=12)
             want = [prefix_product(x, i) for i in range(k + 1)]
             calls.clear()
-            assert prefix_products(x, k) == want
-            assert len(calls) == k
+            traj = sliding_trajectory(x)
+            assert traj.prefix_products(k) == want
+            assert len(calls) == len(traj.states)

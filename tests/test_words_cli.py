@@ -304,14 +304,25 @@ def test_cli_conj_no(capsys):
 
 def test_cli_conj_no_from_summit_invariants_builds_no_graph(capsys, monkeypatch):
     """Pairs whose circuit representatives differ in inf or canonical
-    length are answered NO before any graph is walked."""
+    length are answered NO before any graph is walked: the first two
+    agree in exponent sum and cycle type, so only the summit invariants
+    tell them apart, and the rest differ already in those."""
     import garside.circuits
+    from garside.circuits import _class_invariants
+
+    for structure, x, y in (("artin", "s1", "s2 s2 s1^-1"),
+                            ("bkl", "a(2,1) a(4,3) a(2,1)^-1", "a(3,1) a(3,2)^-1 a(3,1)")):
+        st = artin_structure(4) if structure == "artin" else bkl_structure(4)
+        assert _class_invariants(parse_word(st, x)) == _class_invariants(parse_word(st, y))
 
     def no_graph(*args, **kwargs):
         raise AssertionError("graph built")
 
     monkeypatch.setattr(garside.circuits, "compute_scg", no_graph)
-    for argv in (["conj", "s1 s2 s3", "s1 s1"],
+    for argv in (["conj", "s1", "s2 s2 s1^-1"],
+                 ["--structure", "bkl", "conj", "a(2,1) a(4,3) a(2,1)^-1",
+                  "a(3,1) a(3,2)^-1 a(3,1)"],
+                 ["conj", "s1 s2 s3", "s1 s1"],
                  ["conj", "D s1", "s1"],
                  ["--n", "5", "conj", "s1 s2^-1 s3 s4", "D^-1 s2 s3"],
                  ["--structure", "bkl", "conj", "a(3,1)", "a(3,1) a(3,1)"],
@@ -325,11 +336,14 @@ def test_cli_conj_no_from_summit_invariants_builds_no_graph(capsys, monkeypatch)
 
 
 def test_cli_conj_vertex_budget(capsys):
-    # equal summit invariants and not conjugate: a NO needs the whole graph
-    code, out, err = run_cli(
-        capsys, ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2"])
+    # equal class and summit invariants and not conjugate: a NO needs the
+    # whole graph
+    argv = ["--n", "4", "conj", "--max-vertices", "1", "s1 s1 s3^-1", "s1 s1 s2^-1"]
+    code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == ""
     assert "budget" in err.lower()
+    del argv[3:5]
+    assert run_cli(capsys, argv)[:2] == (1, "NO\n")
     # y's circuit is reached before the budget is
     code, out, _ = run_cli(
         capsys, ["--n", "4", "conj", "--max-vertices", "1", "s1 s2 s3", "s1 s2 s3"])
@@ -526,8 +540,17 @@ def test_cli_rigid_chain_is_bounded(capsys):
 
 def test_cli_slidings_are_bounded(capsys):
     """-k of slide and rigid is refused when negative (bad input) or past
-    --max-trajectory (budget), before any sliding is done."""
+    --max-trajectory (budget), before any sliding is done.  Both read the
+    trajectory, so one longer than --max-trajectory exits 3 whatever -k is:
+    that of s3 s2 s1 has 2 states."""
     for command in ("slide", "rigid"):
+        code, out, err = run_cli(
+            capsys, [command, "s3 s2 s1", "-k", "1", "--max-trajectory", "1"])
+        assert code == 3 and out == ""
+        assert "trajectory" in err
+        code, _, _ = run_cli(
+            capsys, [command, "s3 s2 s1", "-k", "1", "--max-trajectory", "2"])
+        assert code == 0
         code, out, err = run_cli(capsys, [command, "s3 s2 s1", "-k", "-1"])
         assert code == 2 and out == ""
         assert "-k" in err
