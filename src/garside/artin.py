@@ -22,6 +22,9 @@ before the first j in `order` with a[i] < a[j] or b[i] < b[j], or at the end
 if there is none.  The join is the same pass with inversions for
 non-inversions: `>` for `<`, building the order of decreasing values; it
 first returns one argument when the two are comparable, two mask tests.
+The join's inversion set is the transitive closure of the union of the
+two, so the join of a non-comparable pair is memoised by the union of
+their masks, in a cache of at most ``simple_count()`` entries.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ class ArtinStructure(GarsideStructure):
         self.tau_order = 2
         self.atoms = tuple(self.atom(k) for k in range(1, n))
         self._simples: tuple | None = None
+        self._join_cache: dict = {}  # ma | mb -> join of non-comparable a, b
 
     def atom(self, k: int) -> tuple:
         """The crossing sigma_k as a permutation."""
@@ -100,13 +104,26 @@ class ArtinStructure(GarsideStructure):
 
     def join_simple(self, a, b):
         """Least common multiple: the larger argument when they are
-        comparable; otherwise the meet's pass with `>` for `<`, so `order`
-        lists positions by decreasing value and the r-th gets n - r."""
+        comparable.  Otherwise the join depends only on the union of the two
+        inversion sets, so it is memoised by ma | mb; the cache is emptied
+        when it holds ``simple_count()`` entries."""
         ma, mb = self.order_mask(a), self.order_mask(b)
         if not ma & ~mb:
             return b
         if not mb & ~ma:
             return a
+        cache = self._join_cache
+        u = ma | mb
+        r = cache.get(u)
+        if r is None:
+            if len(cache) >= self.simple_count():
+                cache.clear()
+            r = cache[u] = self._join_pass(a, b)
+        return r
+
+    def _join_pass(self, a, b):
+        """The meet's pass with `>` for `<`: `order` lists positions by
+        decreasing value and the r-th gets n - r."""
         n = self.n
         order = [n - 1]
         for i in range(n - 2, -1, -1):

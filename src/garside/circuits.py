@@ -24,8 +24,9 @@ these for its hit alone, and checks it once.
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
 a least fixpoint of lattice operations on simples (Franco and
-Gonzalez-Meneses), so the set is enumerated with one conjugation per atom
-and vertex.
+Gonzalez-Meneses).  Every simple conjugator keeping y in the set lies above
+some rho_a, so the set is connected under the <=-minimal rho_a(y) alone,
+and it is enumerated with one conjugation per minimal rho_a and vertex.
 
 Arrows of the sliding circuits graph come from both facts.  The minimal
 conjugator c_a above an atom a lies above rho_a, since sliding circuits are
@@ -67,7 +68,7 @@ from .core import (
     left_normal_form,
     multiply,
 )
-from .sliding import slide_to_circuit, sliding_trajectory
+from .sliding import _slide_until, slide_to_circuit
 
 
 def check_simples_budget(st: GarsideStructure, budgets: Budgets) -> None:
@@ -98,7 +99,12 @@ class _SCMembership:
     """Memoized sliding-circuit membership for one conjugacy class.
 
     A cheap invariant filter (inf and canonical length of the target
-    circuit) rejects most candidates before any trajectory is computed.
+    circuit) rejects most candidates before any sliding.  Otherwise the
+    element is slid until a state repeats or is already cached.  A
+    recurrent state is only ever cached together with its whole circuit,
+    so a walk that runs into the cache has met no circuit of its own: every
+    state on it is transient.  A walk that repeats has found its circuit,
+    whose states are the recurrent ones.
     """
 
     def __init__(self, inf_s: int, ell_s: int, budgets: Budgets) -> None:
@@ -110,12 +116,14 @@ class _SCMembership:
     def __call__(self, y: GarsideElement) -> bool:
         if y.inf != self.inf_s or y.canonical_length != self.ell_s:
             return False
-        if y not in self.cache:
-            traj = sliding_trajectory(y, self.budgets.max_trajectory_states)
-            # every state on the found circuit is itself recurrent
-            for i, s in enumerate(traj.states):
-                self.cache[s] = i >= traj.entry_index
-        return self.cache[y]
+        cache = self.cache
+        if y not in cache:
+            index, _, last = _slide_until(y, cache, self.budgets.max_trajectory_states)
+            # a walk that ran into the cache has no entry into a circuit
+            entry = index.get(last, len(index))
+            for s, i in index.items():
+                cache[s] = i >= entry
+        return cache[y]
 
 
 def indecomposable_conjugators(y: GarsideElement, member) -> list:
@@ -138,17 +146,20 @@ def indecomposable_conjugators(y: GarsideElement, member) -> list:
         raise VerificationError("element is not in the set; conjugator search undefined")
     leq = st.leq
     y_inv = inverse(y)
-    # low[i] is rho_i while bit i of todo is set, and c_i after
+    # low[i] is rho_i while bit i of todo is set, and c_i after; low_masks
+    # holds their order masks
     low = [_summit_conjugator(y, y_inv, a) for a in st.atoms]
+    low_masks = [st.order_mask(c) for c in low]
     todo = (1 << len(low)) - 1
-    for s, mask, below in st.simples_by_norm():
+    for s, ms, mask, below in st.simples_by_norm():
         open_ = mask & todo
-        if not open_ or not all(leq(low[i], s) for i in below):
+        if not open_ or any(low_masks[i] & ~ms for i in below):
             continue
         if member(conjugate_simple(y, s)):
             for i in below:
                 if open_ >> i & 1:
                     low[i] = s
+                    low_masks[i] = ms
             todo &= ~open_
             if not todo:
                 break
@@ -354,19 +365,31 @@ def _summit_conjugator(y: GarsideElement, y_inv: GarsideElement, a):
         c = nxt
 
 
-def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
+def compute_sss(
+    x: GarsideElement,
+    budgets: Budgets | None = None,
+    start: GarsideElement | None = None,
+) -> frozenset:
     """The set of conjugates of minimal canonical length (and, among those,
     maximal infimum): closure of a summit representative under conjugation
-    by the per-atom minimal conjugators rho_a.
+    by the minimal summit conjugators.  `start` is that representative, a
+    circuit element of the class, when the caller has already slid x.
 
-    Every simple conjugator between two summit elements is a product of
-    such minimal ones, so the closure is the whole set.  The set is a union
-    of tau-orbits along which the rho_a move, so each element popped brings
-    in its whole orbit, and the fixpoints run at that one element.
+    Any two elements of the set are joined by a chain of simple conjugators
+    inside it (Franco and Gonzalez-Meneses).  A simple s keeping y in the
+    set lies above rho_a(y) for each atom a <= s, so above some <=-minimal
+    rho of {rho_a(y)}; y^rho is in the set, and rho^-1 s, of lower norm,
+    takes it to y^s.  By induction on the norm, conjugation by the minimal
+    rho alone reaches the whole set.  The set is a union of tau-orbits
+    along which the rho_a move, so each element popped brings in its whole
+    orbit, and the fixpoints run at that one element.
     """
     budgets = budgets or Budgets()
-    rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
+    rep = start
+    if rep is None:
+        rep = slide_to_circuit(x, budgets.max_trajectory_states)[0]
     st = x.structure
+    order_mask = st.order_mask
     inf_s, ell_s = rep.inf, rep.canonical_length
     known: set = set()
     frontier = [rep]
@@ -381,8 +404,11 @@ def compute_sss(x: GarsideElement, budgets: Budgets | None = None) -> frozenset:
                 )
             known.add(w)
         y_inv = inverse(y)
-        rhos = dict.fromkeys(_summit_conjugator(y, y_inv, a) for a in st.atoms)
-        for c in rhos:
+        rhos = {order_mask(c): c for c in
+                (_summit_conjugator(y, y_inv, a) for a in st.atoms)}
+        for m, c in rhos.items():
+            if any(m2 != m and not m2 & ~m for m2 in rhos):
+                continue
             z = conjugate_simple(y, c)
             if z.inf != inf_s or z.canonical_length != ell_s:
                 raise VerificationError(

@@ -140,15 +140,18 @@ class GarsideStructure:
 
     def simples_by_norm(self) -> list:
         """The nontrivial simples in increasing norm, ties in the canonical
-        order, each with the atoms below it: (s, mask, indices), where
-        indices lists the i with atoms[i] <= s and mask has those bits set.
-        Built on first use."""
+        order, each with its order mask and the atoms below it:
+        (s, order_mask(s), atoms_mask, indices), where indices lists the i
+        with atoms[i] <= s and atoms_mask has those bits set.  Built on
+        first use."""
         if self._by_norm is None:
+            atom_masks = [self.order_mask(a) for a in self.atoms]
             out = []
             for s in sorted(self.simples(), key=self.norm):
-                below = tuple(i for i, a in enumerate(self.atoms) if self.leq(a, s))
+                m = self.order_mask(s)
+                below = tuple(i for i, am in enumerate(atom_masks) if not am & ~m)
                 if below:
-                    out.append((s, sum(1 << i for i in below), below))
+                    out.append((s, m, sum(1 << i for i in below), below))
             self._by_norm = out
         return self._by_norm
 

@@ -79,7 +79,7 @@ def enumerate_length_one_classes(
         rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
         if rep.inf != i or rep.canonical_length != 1:
             continue
-        sss = compute_sss(rep, budgets)
+        sss = compute_sss(rep, budgets, start=rep)
         sc = sliding_circuits_in_sss(sss, budgets)
         assigned.update(sss)
         representative = min(sc, key=lambda v: v.sort_key())

@@ -102,6 +102,30 @@ class SlidingTrajectory:
         return out
 
 
+def _slide_until(x: GarsideElement, known, max_states: int):
+    """Iterate cyclic sliding from x until the next state repeats one
+    visited or lies in `known`.
+
+    Returns (index, prefixes, last): index maps each visited state s^i(x)
+    to i, in order; prefixes[i] = p(s^i(x)); last is the state the walk
+    stopped at, in index when it repeats.  More than max_states states
+    raise BudgetExceeded."""
+    index = {x: 0}
+    prefixes = []
+    cur = x
+    while True:
+        if len(index) > max_states:
+            raise BudgetExceeded(
+                f"sliding trajectory exceeded {max_states} states from {x!r}"
+            )
+        s = preferred_prefix(cur)
+        prefixes.append(s)
+        cur = conjugate_simple(cur, s)
+        if cur in index or cur in known:
+            return index, prefixes, cur
+        index[cur] = len(index)
+
+
 def sliding_trajectory(
     x: GarsideElement, max_states: int = Budgets.max_trajectory_states
 ) -> SlidingTrajectory:
@@ -110,26 +134,9 @@ def sliding_trajectory(
     Sliding orbits are always eventually periodic, so more than max_states
     states means an absurdly long transient or a bug; BudgetExceeded is
     raised instead of looping on."""
-    states = [x]
-    prefixes = []
-    seen = {x: 0}
-    cur = x
-    while True:
-        if len(states) > max_states:
-            raise BudgetExceeded(
-                f"sliding trajectory exceeded {max_states} states from {x!r}"
-            )
-        s = preferred_prefix(cur)
-        nxt = conjugate_simple(cur, s)
-        prefixes.append(s)
-        if nxt in seen:
-            entry = seen[nxt]
-            return SlidingTrajectory(
-                x, tuple(states), tuple(prefixes), entry, len(states) - entry
-            )
-        seen[nxt] = len(states)
-        states.append(nxt)
-        cur = nxt
+    index, prefixes, last = _slide_until(x, (), max_states)
+    entry = index[last]
+    return SlidingTrajectory(x, tuple(index), tuple(prefixes), entry, len(index) - entry)
 
 
 def slide_to_circuit(x: GarsideElement, max_states: int = Budgets.max_trajectory_states):

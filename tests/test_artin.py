@@ -178,3 +178,44 @@ def test_order_mask_cache_holds_at_most_the_simples(capsys):
     assert 0 < len(st._order_mask_cache) <= st.simple_count()
     for s in st.simples():
         assert st.order_mask(s).bit_count() == _inversions(s)
+
+
+def test_join_cache_matches_oracle_cold_warm_and_after_eviction(monkeypatch):
+    """Every pair of B_4 and B_5: the memoised join equals the greedy
+    oracle with the cache cold, on a second pass in reverse order that
+    starts warm, and past the points where the full cache is emptied; the
+    cache never holds more than simple_count() entries."""
+    passes = [0]
+    join_pass = ArtinStructure._join_pass
+
+    def counted(self, a, b):
+        passes[0] += 1
+        return join_pass(self, a, b)
+
+    monkeypatch.setattr(ArtinStructure, "_join_pass", counted)
+    for n in (4, 5):
+        st = artin_structure(n)
+        pairs = [(a, b) for a in st.simples() for b in st.simples()
+                 if not st.leq(a, b) and not st.leq(b, a)]
+        expected = [greedy_join_simple(st, a, b) for a, b in pairs]
+        monkeypatch.setattr(st, "_join_cache", {})
+        for order in (range(len(pairs)), range(len(pairs) - 1, -1, -1)):
+            passes[0] = 0
+            sizes = []
+            for k in order:
+                assert st.join_simple(*pairs[k]) == expected[k]
+                sizes.append(len(st._join_cache))
+                if len(sizes) == 1:
+                    # cold: a miss; warm: the last pair of the first pass
+                    assert passes[0] == (order.step == 1)
+            assert max(sizes) == st.simple_count()
+            assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+            assert passes[0] < len(pairs)
+
+
+def test_join_cache_holds_at_most_the_simples_after_a_table(capsys):
+    st = artin_structure(6)
+    st._join_cache.clear()
+    assert main(["--n", "6", "table"]) == 0
+    capsys.readouterr()
+    assert 0 < len(st._join_cache) <= st.simple_count()

@@ -33,6 +33,7 @@ from garside.core import (
     power,
 )
 from garside.sliding import (
+    _slide_until,
     is_rigid,
     preferred_prefix,
     slide_to_circuit,
@@ -83,6 +84,23 @@ def test_benchmark_sets_b4():
     assert sliding_circuit_set(x) == frozenset(
         {el(st, [2, 1, 3]), el(st, [1, 3, 2])}
     )
+
+
+def test_sss_from_a_given_start_slides_nothing(monkeypatch):
+    """With `start`, a circuit element of the class, compute_sss walks from
+    it without sliding x again, and finds the same set."""
+    import garside.circuits
+
+    for x in [delta_seed(artin_structure(5)), el(artin_structure(4), [1, 2, 3])]:
+        expected = compute_sss(x)
+        rep = slide_to_circuit(x)[0]
+
+        def refuse(*args):
+            raise AssertionError("slid again")
+
+        monkeypatch.setattr(garside.circuits, "slide_to_circuit", refuse)
+        assert compute_sss(x, start=rep) == expected
+        monkeypatch.undo()
 
 
 def test_sss_matches_scan_on_length_one_rows():
@@ -721,6 +739,38 @@ def test_membership_chain_on_length_one_classes_b4():
                 assert in_rsss(y)
         # ell_s = 1 collapses the middle of the chain
         assert all(in_rsss(y) and in_uss(y) for y in sss)
+
+
+def test_membership_early_stop_matches_full_trajectories(monkeypatch):
+    """_SCMembership stops sliding at the first state it has already
+    judged; on every super summit element of fixed-seed random classes of
+    both structures and of the n-cycle seeds, queried in several shuffled
+    orders, it agrees with recurrence read off the full trajectory."""
+    import garside.circuits
+
+    stops = {"cached": 0, "repeat": 0}
+
+    def counted(y, known, max_states):
+        index, prefixes, last = _slide_until(y, known, max_states)
+        stops["repeat" if last in index else "cached"] += 1
+        return index, prefixes, last
+
+    monkeypatch.setattr(garside.circuits, "_slide_until", counted)
+    rng = random.Random(20261019)
+    classes = [delta_seed(artin_structure(n)) for n in (4, 5, 6, 7)]
+    for st, letters, samples in [(artin_structure(5), 16, 4), (bkl_structure(4), 12, 4),
+                                 (bkl_structure(6), 8, 3)]:
+        classes += [random_element(st, rng, length=letters) for _ in range(samples)]
+    for x in classes:
+        sss = sorted(compute_sss(x), key=GarsideElement.sort_key)
+        expected = {y: in_sc(y) for y in sss}
+        assert any(expected.values())
+        rep = slide_to_circuit(x)[0]
+        for _ in range(3):
+            rng.shuffle(sss)
+            member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
+            assert [member(y) for y in sss] == [expected[y] for y in sss]
+    assert stops["cached"] > 0 and stops["repeat"] > 0
 
 
 def test_budget_exhaustion_is_loud():

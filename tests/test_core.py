@@ -477,13 +477,15 @@ def test_waves_match_stepwise_oracles():
 
 def count_meets(monkeypatch, structures):
     """Patch meet_simple on each structure to count its calls; returns a
-    one-element list holding the count."""
+    one-element list holding the count.  The patch is an entry of the
+    instance's __dict__, which undo deletes, so no bound method is left
+    behind to shadow the class attribute."""
     calls = [0]
     for st in structures:
         def counted(a, b, meet=st.meet_simple):
             calls[0] += 1
             return meet(a, b)
-        monkeypatch.setattr(st, "meet_simple", counted)
+        monkeypatch.setitem(vars(st), "meet_simple", counted)
     return calls
 
 

@@ -412,7 +412,7 @@ def test_cli_refuses_too_many_simples_before_enumerating(capsys, monkeypatch):
     def enumerate_simples():
         raise AssertionError("simples enumerated")
 
-    monkeypatch.setattr(st, "simples", enumerate_simples)
+    monkeypatch.setitem(vars(st), "simples", enumerate_simples)
     code, _, err = run_cli(capsys, ["--n", "11", "conj", "s1 s2", "s2 s3"])
     assert code == 3
     assert "simple elements" in err
@@ -579,7 +579,7 @@ def test_cli_table_refuses_two_strands_before_enumerating(capsys, monkeypatch):
         def enumerate_simples():
             raise AssertionError("simples enumerated")
 
-        monkeypatch.setattr(st, "simples", enumerate_simples)
+        monkeypatch.setitem(vars(st), "simples", enumerate_simples)
         code, out, err = run_cli(capsys, ["--structure", structure, "--n", "2", "table"])
         assert (code, out) == (2, "")
         assert "--n 3" in err and len(err.splitlines()) == 1
