@@ -28,14 +28,17 @@ Gonzalez-Meneses).  Every simple conjugator keeping y in the set lies above
 some rho_a, so the set is connected under the <=-minimal rho_a(y) alone,
 and it is enumerated with one conjugation per minimal rho_a and vertex.
 
-Arrows of the sliding circuits graph come from both facts.  The minimal
-conjugator c_a above an atom a lies above rho_a, since sliding circuits are
-super summit, and it is the first success above a in increasing length, by
-the gcd-closure.  So the simples are scanned once in length order, skipping
-those whose atoms all have their c_a and those not above rho_b (or c_b,
-once found) for some atom b below them, and the scan stops once every atom
-has its c_a.  The scan still grows with the number of simples; the paper's
-transport and pullback along the circuit would replace it.
+Arrows of the sliding circuits graph come from both facts.  The least
+success c_a above an atom a lies above rho_a(y), since sliding circuits
+are super summit, and above c_b for every atom b <= c_a, by meet-closure.
+Call s closed when it lies above these bounds (rho_b until c_b is found,
+c_b after) for every atom b <= s; joining s with the bounds below it until
+it stops growing gives its closure.  If c < c_a is closed and t is the
+first letter of c^-1 c_a, the closure of c t is still <= c_a.  So a search
+in increasing norm from the closures of the rho_a, stepping from each
+failure s to the closures of s t, meets c_a as its first success above a,
+and it tests no simple that is not closed.  The paper's transport and
+pullback along the circuit stay a citation.
 
 All of this commutes with conjugation by Delta.  Write tau(y) = y^Delta;
 for y = Delta^p y_1 ... y_r it is Delta^p tau(y_1) ... tau(y_r), again in
@@ -69,17 +72,6 @@ from .core import (
     multiply,
 )
 from .sliding import _slide_until, slide_to_circuit
-
-
-def check_simples_budget(st: GarsideStructure, budgets: Budgets) -> None:
-    """Refuse, before any enumeration, a structure with more simple
-    elements than ``budgets.max_set_size``."""
-    count = st.simple_count()
-    if count > budgets.max_set_size:
-        raise BudgetExceeded(
-            f"{st.name} has {count} simple elements, more than the set budget "
-            f"of {budgets.max_set_size}"
-        )
 
 
 def _tau_orbit(y: GarsideElement) -> list:
@@ -126,52 +118,80 @@ class _SCMembership:
         return cache[y]
 
 
-def indecomposable_conjugators(y: GarsideElement, member) -> list:
+def _minimal(st: GarsideStructure, simples: list) -> list:
+    """The distinct <=-minimal simples of a list, in order of first appearance."""
+    masks = {st.order_mask(c): c for c in simples}
+    return [c for m, c in masks.items()
+            if not any(m2 != m and not m2 & ~m for m2 in masks)]
+
+
+def indecomposable_conjugators(
+    y: GarsideElement, member, budgets: Budgets | None = None
+) -> list:
     """Minimal nontrivial simple conjugators keeping y inside the set
     recognized by `member`, which must be a part of the super summit set of
     y whose conjugators are closed under meets (the sliding circuits are).
 
-    By meet-closure each atom a has a unique minimal success c_a above it,
-    and every success above a lies above c_a, so c_a is the first success
-    above a in increasing norm.  Since the set lies in the super summit set,
-    c_a also lies above rho_a(y), the least simple above a keeping y there.
-    The simples are scanned in norm order, skipping a simple s when every
-    atom below s already has its c_a, or when some atom b <= s has its
-    lower bound (c_b once found, rho_b before) not <= s; the scan stops
-    once every atom has its c_a.  The result is the set of those c_a that
-    are minimal overall, in the canonical order.
+    Each atom a has a least success c_a above it, found by a search upward
+    from rho_a(y) in increasing (norm, simple) order over closed simples
+    (see the module docstring).  A popped simple with no open atom below it
+    is dropped, one the bounds have outgrown is replaced by its closure, and
+    otherwise y^s is tested: a success is c_a for every open atom a <= s, a
+    failure pushes the closure of s t for each atom t with s t simple.  The
+    simples pushed count against `budgets.max_set_size`.  The result is the
+    set of those c_a that are minimal overall, in the canonical order.
     """
     st = y.structure
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
-    leq = st.leq
+    budgets = budgets or Budgets()
+    order_mask = st.order_mask
     y_inv = inverse(y)
-    # low[i] is rho_i while bit i of todo is set, and c_i after; low_masks
-    # holds their order masks
-    low = [_summit_conjugator(y, y_inv, a) for a in st.atoms]
-    low_masks = [st.order_mask(c) for c in low]
-    todo = (1 << len(low)) - 1
-    for s, ms, mask, below in st.simples_by_norm():
-        open_ = mask & todo
-        if not open_ or any(low_masks[i] & ~ms for i in below):
+    # each atom's order mask is one bit; low[bit] is rho_a while the bit is
+    # in todo, c_a after
+    atoms = [(order_mask(a), a) for a in st.atoms]
+    low = {b: _summit_conjugator(y, y_inv, a) for b, a in atoms}
+    todo = atom_bits = sum(low)
+
+    def close(s):
+        m, checked = order_mask(s), 0
+        while bits := m & atom_bits & ~checked:
+            b = bits & -bits
+            checked |= b
+            if order_mask(low[b]) & ~m:
+                s = st.join_simple(s, low[b])
+                m = order_mask(s)
+        return s
+
+    heap, seen = [], set()
+
+    def push(s):
+        s = close(s)
+        if s not in seen:
+            if len(seen) >= budgets.max_set_size:
+                raise BudgetExceeded(
+                    f"arrow search exceeded {budgets.max_set_size} simples")
+            seen.add(s)
+            heapq.heappush(heap, (st.norm(s), s))
+
+    for c in low.values():
+        push(c)
+    while todo and heap:
+        s = heapq.heappop(heap)[1]
+        open_ = order_mask(s) & todo
+        if not open_:
             continue
-        if member(conjugate_simple(y, s)):
-            for i in below:
-                if open_ >> i & 1:
-                    low[i] = s
-                    low_masks[i] = ms
+        if (c := close(s)) != s:
+            push(c)
+        elif member(conjugate_simple(y, s)):
+            low.update({b: s for b in low if open_ & b})
             todo &= ~open_
-            if not todo:
-                break
-    found = [c for i, c in enumerate(low) if not todo >> i & 1]
-    out = []
-    for c in found:
-        # c is minimal among successes above its atom; keep it only if no
-        # success sits strictly below it (i.e. it is minimal overall)
-        if all(c2 == c or not leq(c2, c) for c2 in found) and c not in out:
-            out.append(c)
-    out.sort()
-    return out
+        else:
+            room = order_mask(st.complement(s))
+            for b, t in atoms:
+                if room & b:
+                    push(st.prod(s, t))
+    return sorted(_minimal(st, [c for b, c in low.items() if not b & todo]))
 
 
 @dataclass
@@ -220,7 +240,6 @@ def compute_scg(
     and re-sorted when they are popped in turn.
     """
     budgets = budgets or Budgets()
-    check_simples_budget(x.structure, budgets)
     if budgets.max_vertices < 1:
         # the representative is a vertex too
         raise BudgetExceeded(
@@ -241,7 +260,7 @@ def compute_scg(
         _, y = heapq.heappop(frontier)
         arrows = twisted.pop(y, None)
         if arrows is None:
-            arrows = indecomposable_conjugators(y, member)
+            arrows = indecomposable_conjugators(y, member, budgets)
             for k, w in enumerate(_tau_orbit(y)[1:], 1):
                 twisted[w] = sorted(st.tau_pow(c, k) for c in arrows)
         for s in arrows:
@@ -389,7 +408,6 @@ def compute_sss(
     if rep is None:
         rep = slide_to_circuit(x, budgets.max_trajectory_states)[0]
     st = x.structure
-    order_mask = st.order_mask
     inf_s, ell_s = rep.inf, rep.canonical_length
     known: set = set()
     frontier = [rep]
@@ -404,11 +422,7 @@ def compute_sss(
                 )
             known.add(w)
         y_inv = inverse(y)
-        rhos = {order_mask(c): c for c in
-                (_summit_conjugator(y, y_inv, a) for a in st.atoms)}
-        for m, c in rhos.items():
-            if any(m2 != m and not m2 & ~m for m2 in rhos):
-                continue
+        for c in _minimal(st, [_summit_conjugator(y, y_inv, a) for a in st.atoms]):
             z = conjugate_simple(y, c)
             if z.inf != inf_s or z.canonical_length != ell_s:
                 raise VerificationError(

@@ -76,7 +76,6 @@ class GarsideStructure:
         self._norm_cache: dict = {}
         self._order_mask_cache: dict = {}
         self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
-        self._by_norm: list | None = None
 
     # -- primitives a subclass must implement ------------------------------
 
@@ -137,23 +136,6 @@ class GarsideStructure:
     def simple_count(self) -> int:
         """Number of simple elements, known without enumerating them."""
         raise NotImplementedError
-
-    def simples_by_norm(self) -> list:
-        """The nontrivial simples in increasing norm, ties in the canonical
-        order, each with its order mask and the atoms below it:
-        (s, order_mask(s), atoms_mask, indices), where indices lists the i
-        with atoms[i] <= s and atoms_mask has those bits set.  Built on
-        first use."""
-        if self._by_norm is None:
-            atom_masks = [self.order_mask(a) for a in self.atoms]
-            out = []
-            for s in sorted(self.simples(), key=self.norm):
-                m = self.order_mask(s)
-                below = tuple(i for i, am in enumerate(atom_masks) if not am & ~m)
-                if below:
-                    out.append((s, m, sum(1 << i for i in below), below))
-            self._by_norm = out
-        return self._by_norm
 
     # -- cached unary operations -------------------------------------------
 

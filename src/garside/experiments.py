@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .circuits import check_simples_budget, compute_sss, sliding_circuits_in_sss
+from .circuits import compute_sss, sliding_circuits_in_sss
 from .core import (
+    BudgetExceeded,
     Budgets,
     GarsideElement,
     GarsideStructure,
@@ -67,7 +68,9 @@ def enumerate_length_one_classes(
     """All conjugacy classes with summit infimum i and summit canonical
     length 1, as ClassStatistics sorted by class representative."""
     budgets = budgets or Budgets()
-    check_simples_budget(st, budgets)
+    if st.simple_count() > budgets.max_set_size:  # refused before enumerating
+        raise BudgetExceeded(f"{st.name} has {st.simple_count()} simple elements, "
+                             f"more than the set budget of {budgets.max_set_size}")
     results = []
     assigned: set = set()
     for s in st.simples():

@@ -75,7 +75,7 @@ def test_criterion_1_benchmark_sets_b4():
 
 def test_criterion_2_periodic_seed_counts():
     def body():
-        for n in range(4, 9):
+        for n in range(4, 11):
             st = artin_structure(n)
             d = delta_seed(st)
             start = time.monotonic()
@@ -84,7 +84,7 @@ def test_criterion_2_periodic_seed_counts():
             if n == 8:
                 assert time.monotonic() - start < 300.0
 
-    _run(2, "summit and circuit counts for the n-cycle seed, n=4..8", body)
+    _run(2, "summit and circuit counts for the n-cycle seed, n=4..10", body)
 
 
 _CLASSICAL_ROWS = {

@@ -269,10 +269,12 @@ def test_indecomposable_conjugators_against_brute_force():
 
 
 def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
-    """The pruned scan in norm order against the full scan over simples, on
-    every vertex of the sliding circuits graphs of fixed-seed random classes
-    and of the n-cycle seeds.  Every simple the pruned scan conjugates by is
-    above rho_b for each atom b below it."""
+    """The closure search against the full scan over simples, on every
+    vertex of the sliding circuits graphs of fixed-seed random classes and
+    of the n-cycle seeds.  The search tests simples in increasing
+    (norm, simple) order, and each is closed against the bounds known when
+    it was tested: it lies above some atom a whose c_a is not yet found,
+    and above rho_b, or c_b once found, for every atom b below it."""
     import garside.circuits
 
     rng = random.Random(20261018)
@@ -282,10 +284,10 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
                                  (bkl_structure(5), 12, 4)]:
         classes += [random_element(st, rng, length=letters) for _ in range(samples)]
     classes += [delta_seed(artin_structure(n)) for n in (4, 5, 6, 7)]
-    scanned = []
+    tested = []
 
     def recorded(y, s):
-        scanned.append(s)
+        tested.append(s)
         return conjugate_simple(y, s)
 
     vertices = 0
@@ -295,15 +297,25 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
         rep = graph.vertices[0]
         member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
         for y in graph.vertices:
-            scanned.clear()
+            tested.clear()
             with monkeypatch.context() as m:
                 m.setattr(garside.circuits, "conjugate_simple", recorded)
                 got = indecomposable_conjugators(y, member)
             assert got == scan_indecomposable_conjugators(y, member)
+            keys = [(st.norm(s), s) for s in tested]
+            assert keys == sorted(set(keys))
             y_inv = inverse(y)
-            rhos = {a: _summit_conjugator(y, y_inv, a) for a in st.atoms}
-            for s in scanned:
-                assert all(st.leq(rhos[a], s) for a in st.atoms if st.leq(a, s))
+            low = {a: _summit_conjugator(y, y_inv, a) for a in st.atoms}
+            found = set()
+            for s in tested:
+                below = [a for a in st.atoms if st.leq(a, s)]
+                assert not found.issuperset(below)
+                assert all(st.leq(low[b], s) for b in below)
+                if member(conjugate_simple(y, s)):
+                    for a in set(below) - found:
+                        low[a] = s
+                    found.update(below)
+            assert found == set(st.atoms) and set(got) <= set(low.values())
         vertices += len(graph.vertices)
     assert vertices >= 100
 
@@ -783,10 +795,12 @@ def test_budget_exhaustion_is_loud():
     bst = bkl_structure(5)
     with pytest.raises(BudgetExceeded):
         compute_sss(from_simple(bst, bst.atom(3, 1)), Budgets(max_set_size=2))
-    # the scan over simples is refused before it enumerates them
+    # the arrow search counts the simples it pushes against the set budget:
+    # 7 of the 24 at the busiest vertex of this class
     with pytest.raises(BudgetExceeded):
-        compute_scg(x, Budgets(max_set_size=len(st.simples()) - 1))
-    assert len(compute_scg(x, Budgets(max_set_size=len(st.simples()))).vertices) == 2
+        compute_scg(x, Budgets(max_set_size=6))
+    assert len(compute_scg(x, Budgets(max_set_size=7)).vertices) == 2
+    assert len(compute_scg(x).vertices) == 2
     with pytest.raises(BudgetExceeded):
         minimal_sc_conjugator(el(st, [3, 2, 1]), max_norm=0)
 

@@ -407,17 +407,20 @@ def test_cli_budget_exit_code(capsys):
 
 
 def test_cli_refuses_too_many_simples_before_enumerating(capsys, monkeypatch):
+    """`table` walks every simple, so B_11 (11! of them) is refused up
+    front; `conj` searches its arrows upward from the minimal summit
+    conjugators and answers without enumerating the simples."""
     st = artin_structure(11)
 
     def enumerate_simples():
         raise AssertionError("simples enumerated")
 
     monkeypatch.setitem(vars(st), "simples", enumerate_simples)
-    code, _, err = run_cli(capsys, ["--n", "11", "conj", "s1 s2", "s2 s3"])
+    code, out, _ = run_cli(capsys, ["--n", "11", "conj", "s1 s2", "s2 s3"])
+    assert (code, out) == (0, "YES s3 s2 s1\n")
+    code, _, err = run_cli(capsys, ["--n", "11", "table"])
     assert code == 3
     assert "simple elements" in err
-    code, _, _ = run_cli(capsys, ["--n", "11", "table"])
-    assert code == 3
 
 
 def test_cli_refuses_huge_n_before_building_the_structure(capsys, monkeypatch):

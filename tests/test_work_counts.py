@@ -1,13 +1,21 @@
-"""Exact work counts of one pinned command, taken in process by patching.
+"""Exact work counts of pinned commands, taken in process by patching.
 
 Counts do not depend on the host, so a change in them is a change in the
 algorithm.  A change that moves a count updates it here and gives the old
 and new value in CHANGES.md.
 """
 
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
 import garside.circuits
 from garside.artin import ArtinStructure, artin_structure
 from garside.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_table_n6_work_counts(monkeypatch, capsys):
@@ -41,3 +49,57 @@ def test_table_n6_work_counts(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1] == (
         "artin,6,0,89,38,22,15,8.06742,4.40449,2.14131,16.2646,6.38162,3.78721")
     assert counts == {"sss_conjugations": 917, "membership_steps": 503, "join_passes": 3105}
+
+
+def _arrow_search_counts(monkeypatch, capsys, argvs):
+    """The arrow searches that `sc` on each argv runs, and the simples they
+    test: the calls of the membership test, less the one check of the
+    vertex itself per search."""
+    counts = {"searches": 0, "tested": 0}
+    search = garside.circuits.indecomposable_conjugators
+
+    def counted(y, member, budgets):
+        counts["searches"] += 1
+        counts["tested"] -= 1
+
+        def tested(z):
+            counts["tested"] += 1
+            return member(z)
+
+        return search(y, tested, budgets)
+
+    monkeypatch.setattr(garside.circuits, "indecomposable_conjugators", counted)
+    for argv in argvs:
+        assert main([*argv[:-1], "sc", argv[-1]]) == 0
+    capsys.readouterr()
+    return counts["searches"], counts["tested"]
+
+
+def _seed(n):
+    return ["--n", str(n), " ".join(f"s{k}" for k in range(n - 1, 0, -1))]
+
+
+@pytest.mark.parametrize("argvs, expected", [
+    ([_seed(6)], (9, 67)),
+    ([_seed(7)], (15, 132)),
+    ([_seed(8)], (35, 351)),
+    ([["--structure", "bkl", "--n", "8", "a(3,1) a(5,4) a(8,2)"]], (42, 966)),
+], ids=["seed6", "seed7", "seed8", "bkl8"])
+def test_arrow_search_work_counts(monkeypatch, capsys, argvs, expected):
+    """`sc` on the n-cycle seeds and on a dual B_8 class: one arrow search
+    per tau-orbit of vertices, and the simples each tests."""
+    assert _arrow_search_counts(monkeypatch, capsys, argvs) == expected
+
+
+def test_arrow_search_work_counts_on_the_conj_corpus(monkeypatch, capsys):
+    """`sc` on each class of the `conj-random` benchmark corpus: its 24
+    classical B_5 and 24 dual B_4 words, whole graphs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    got = {}
+    for structure, n, length in workloads.CONJ_SHAPES:
+        got[structure] = _arrow_search_counts(monkeypatch, capsys, [
+            ["--structure", structure, "--n", str(n), " ".join(w)]
+            for w in workloads.conj_corpus(structure, n, length)])
+    assert got == {"artin": (189, 2365), "bkl": (137, 615)}
