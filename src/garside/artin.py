@@ -177,7 +177,8 @@ class ArtinStructure(GarsideStructure):
 
     def simples(self) -> tuple:
         if self._simples is None:
-            self._simples = tuple(sorted(permutations(range(1, self.n + 1))))
+            # permutations of a sorted range come in lexicographic order
+            self._simples = tuple(permutations(range(1, self.n + 1)))
         return self._simples
 
     def simple_count(self) -> int:
@@ -188,24 +189,25 @@ class ArtinStructure(GarsideStructure):
 
         Letters are peeled off the right end, smallest applicable generator
         first; deterministic, and a staircase-shaped factorization for Delta.
+        Stripping sigma_k moves only the values k and k+1, so no sigma_j with
+        j < k-1 becomes applicable: the next scan starts at k-1, and the
+        word is done when a scan reaches the end.
         """
         n = self.n
-        cur = list(s)
-        pos = [0] * n
-        for i, v in enumerate(cur):
+        pos = [0] * n  # pos[v-1]: the position of value v
+        for i, v in enumerate(s):
             pos[v - 1] = i
         out: list = []
-        remaining = self.norm(s)
-        while remaining:
-            for k in range(1, n):
-                i, j = pos[k], pos[k - 1]  # positions of k+1 and k
-                if i < j:
-                    # sigma_k is a final letter: strip it
-                    cur[i], cur[j] = cur[j], cur[i]
-                    pos[k], pos[k - 1] = j, i
-                    out.append(k)
-                    remaining -= 1
-                    break
+        k = 1
+        while k < n:
+            i, j = pos[k], pos[k - 1]  # positions of k+1 and k
+            if i < j:
+                # sigma_k is a final letter: strip it
+                pos[k], pos[k - 1] = j, i
+                out.append(k)
+                k = max(k - 1, 1)
+            else:
+                k += 1
         out.reverse()
         return out
 

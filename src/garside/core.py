@@ -8,12 +8,18 @@ operations here are written against the descriptor contract in
 
 Simple elements are plain hashable values (tuples in practice); the
 descriptor owns their semantics.
+
+A word becomes a normal form in three stages (:func:`left_normal_form`):
+inverse pairs of atoms separated only by atoms that commute with them are
+cancelled in one linear pass, the remaining letters are folded into runs
+of simples of one sign, and each run is pushed onto the factor list by a
+right-to-left wave of local slidings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 
 class VerificationError(RuntimeError):
@@ -76,6 +82,8 @@ class GarsideStructure:
         self._norm_cache: dict = {}
         self._order_mask_cache: dict = {}
         self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
+        self._atom_index: dict | None = None  # atom -> its index in atoms, built on first use
+        self._commute_cache: dict = {}  # i * len(atoms) + j -> atoms i and j commute
 
     # -- primitives a subclass must implement ------------------------------
 
@@ -176,6 +184,24 @@ class GarsideStructure:
         return r
 
     # -- derived operations -------------------------------------------------
+
+    def atom_index(self) -> dict:
+        """Map from each atom to its index in ``atoms``, built on first use."""
+        if self._atom_index is None:
+            self._atom_index = {a: i for i, a in enumerate(self.atoms)}
+        return self._atom_index
+
+    def atoms_commute(self, i: int, j: int) -> bool:
+        """True iff the distinct atoms i and j (indices into ``atoms``)
+        commute: ab and ba are both simple and equal.  Memoised per pair."""
+        key = i * len(self.atoms) + j
+        r = self._commute_cache.get(key)
+        if r is None:
+            a, b = self.atoms[i], self.atoms[j]
+            r = (self.leq(b, self.complement(a)) and self.leq(a, self.complement(b))
+                 and self.prod(a, b) == self.prod(b, a))
+            self._commute_cache[key] = self._commute_cache[j * len(self.atoms) + i] = r
+        return r
 
     def tau_pow(self, s, k: int):
         k %= self.tau_order
@@ -312,17 +338,54 @@ def from_simple(st: GarsideStructure, s) -> GarsideElement:
     return _element(st, 0, (s,))
 
 
+def _cancel_commuting_pairs(st: GarsideStructure, word: Iterable) -> list:
+    """Free cancellation across commuting atoms, in one left-to-right pass.
+
+    Each atom letter a^e (e = +-1) scans back over the letters kept so far
+    while they are atoms that commute with a; on reaching a^-e it deletes
+    that letter and is dropped itself.  A Delta^k letter, a simple that is
+    not an atom, an exponent other than +-1, a^e itself or an atom that does
+    not commute with a ends the scan, so such letters reach
+    :func:`_letter_runs` unchanged.  Returns the kept letters as
+    (simple, exponent, atom index or -1) triples.
+    """
+    index = st.atom_index()
+    commute = st._commute_cache
+    na = len(st.atoms)
+    out: list = []
+    for s, e in word:
+        k = index.get(s, -1) if e == 1 or e == -1 else -1
+        row = k * na
+        j = len(out) - 1 if k >= 0 else -1
+        while j >= 0:
+            h = out[j][2]
+            if h == k or h < 0:
+                break
+            c = commute.get(row + h)
+            if c is None:
+                c = st.atoms_commute(k, h)
+            if not c:
+                break
+            j -= 1
+        if j >= 0 and out[j][2] == k and out[j][1] == -e:
+            del out[j]
+        else:
+            out.append((s, e, k))
+    return out
+
+
 def _letter_runs(st: GarsideStructure, word: Iterable):
     """Fold consecutive letters of one sign into simples.
 
-    Yields (r, e): the run r^e with e = +-1, where a run grows while the
-    product stays simple.  A positive run r takes s when s <= partial(r)
+    Reads the (simple, exponent, atom index) triples of
+    :func:`_cancel_commuting_pairs`.  Yields (r, e): the run r^e with
+    e = +-1, where a run grows while the product stays simple.  A positive run r takes s when s <= partial(r)
     (r s is then simple); a negative run r, standing for r^-1, takes s^-1
     when r <= partial(s) (s r is then simple).  A Delta letter ends the
     run and is yielded as it is, (Delta, k).
     """
     run, sign = None, 0
-    for s, e in word:
+    for s, e, _ in word:
         delta = st.is_delta(s)
         if e == sign and not delta:
             if e == 1:
@@ -352,11 +415,20 @@ def left_normal_form(st: GarsideStructure, word: Iterable) -> GarsideElement:
     integer exponent k: Delta^k costs O(1) whatever k is.  Any other letter
     with an exponent other than +-1 raises ValueError.
 
-    Consecutive letters of one sign are first multiplied into one simple
-    while the product stays simple (:func:`_letter_runs`), and each run is
-    pushed with one right-to-left wave of local slidings
-    (:func:`_push_factor`).  A negative run r^-1 is pushed as
-    Delta^-1 partial^-1(r).
+    The word goes through three stages, in this order:
+
+    1. cancel: an atom letter a^e and an earlier a^-e are both deleted when
+       every letter between them is an atom that commutes with a
+       (:func:`_cancel_commuting_pairs`), which is group arithmetic in
+       one linear pass;
+    2. runs: consecutive letters of one sign are multiplied into one simple
+       while the product stays simple (:func:`_letter_runs`);
+    3. waves: each run is pushed with one right-to-left wave of local
+       slidings (:func:`_push_factor`).  A negative run r^-1 is pushed as
+       Delta^-1 partial^-1(r).
+
+    The normal form is unique, so the first stage changes only the work
+    done, never the result.
 
     Moving Delta^k to the front twists the factors behind it by tau^k
     (X Delta^k = Delta^k tau^k(X)).  The factors are not rebuilt for that:
@@ -368,7 +440,7 @@ def left_normal_form(st: GarsideStructure, word: Iterable) -> GarsideElement:
     """
     p = m = 0
     fs: list = []
-    for r, e in _letter_runs(st, word):
+    for r, e in _letter_runs(st, _cancel_commuting_pairs(st, word)):
         if st.is_delta(r):
             p += e
             m -= e

@@ -21,22 +21,6 @@ from garside.sliding import sliding_trajectory
 from oracles import slide_witness
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow", action="store_true", default=False,
-        help="run slow reproduction targets",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="slow target; use --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 def random_word(st, rng, length=None):
     """A random word of atom letters with random signs."""
     if length is None:

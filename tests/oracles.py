@@ -4,8 +4,8 @@ prefix order and the blockwise meet on simples by loops, the greedy
 lattice operations on elements, cyclic sliding one step at a time, the
 reverse structure with the right-handed variants of sliding and
 transport, cycling and decycling, the membership tests for the invariant
-subsets of a class, simples from words and non-crossing partitions by
-filtering all set partitions."""
+subsets of a class, simples from words and back by rescanning, and
+non-crossing partitions by filtering all set partitions."""
 
 from garside.bkl import is_noncrossing
 from garside.circuits import BudgetExceeded, compute_scg, solve_csp
@@ -383,6 +383,30 @@ def word_to_simple(st, word) -> tuple:
     for k in word:
         s = st.prod(s, st.atom(k))
     return s
+
+
+def rescanning_simple_to_word(st, s) -> list:
+    """Canonical reduced word of a permutation braid over a classical
+    structure: peel the smallest applicable sigma_k off the right end,
+    rescanning from sigma_1 after every letter, norm(s) scans in all."""
+    n = st.n
+    cur = list(s)
+    pos = [0] * n
+    for i, v in enumerate(cur):
+        pos[v - 1] = i
+    out: list = []
+    remaining = st.norm(s)
+    while remaining:
+        for k in range(1, n):
+            i, j = pos[k], pos[k - 1]  # positions of k+1 and k
+            if i < j:
+                cur[i], cur[j] = cur[j], cur[i]
+                pos[k], pos[k - 1] = j, i
+                out.append(k)
+                remaining -= 1
+                break
+    out.reverse()
+    return out
 
 
 def filtered_noncrossing_partitions(n: int) -> tuple:

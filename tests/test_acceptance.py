@@ -9,8 +9,6 @@ import pathlib
 import random
 import time
 
-import pytest
-
 from garside.artin import artin_structure
 from garside.bkl import bkl_structure
 from garside.circuits import compute_sss
@@ -105,7 +103,6 @@ def test_criterion_3_classical_statistics_rows():
     _run(3, "classical statistics rows n=4,5,6", body)
 
 
-@pytest.mark.slow
 def test_criterion_3s_classical_statistics_row_n7():
     def body():
         start = time.monotonic()
@@ -114,7 +111,7 @@ def test_criterion_3s_classical_statistics_row_n7():
         assert row_to_csv(row) == _CLASSICAL_ROWS[7]
         assert time.monotonic() - start < 3600.0
 
-    _run("3s", "classical statistics row n=7 (slow)", body)
+    _run("3s", "classical statistics row n=7", body)
 
 
 _DUAL_ROWS = {

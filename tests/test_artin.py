@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,7 @@ from garside.cli import main
 from garside.core import from_simple, left_normal_form
 
 from conftest import greedy_meet_simple
-from oracles import inversion_leq, prefix_leq, word_to_simple
+from oracles import inversion_leq, prefix_leq, rescanning_simple_to_word, word_to_simple
 
 
 def test_descriptor_basics():
@@ -105,6 +106,21 @@ def test_word_round_trip():
             word = st.simple_to_word(s)
             assert len(word) == st.norm(s) == _inversions(s)
             assert word_to_simple(st, word) == s
+
+
+def test_canonical_word_matches_rescanning_oracle():
+    # exhaustive up to B_7; B_8 was checked the same way once (40,320 simples)
+    for n in range(2, 8):
+        st = ArtinStructure(n)
+        for s in st.simples():
+            assert st.simple_to_word(s) == rescanning_simple_to_word(st, s)
+
+
+def test_simples_are_sorted():
+    for n in range(2, 9):
+        simples = ArtinStructure(n).simples()
+        assert list(simples) == sorted(simples)
+        assert len(set(simples)) == len(simples) == factorial(n)
 
 
 def test_braid_relation():

@@ -8,6 +8,7 @@ import pytest
 from garside.artin import _compose, _invert, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
 from garside.core import (
+    _cancel_commuting_pairs,
     _push_factor,
     _push_front,
     conjugate_simple,
@@ -20,7 +21,7 @@ from garside.core import (
     power,
 )
 
-from garside.words import band_to_sigma_word
+from garside.words import _parse_token, band_to_sigma_word
 
 from conftest import (
     letterwise_normal_form,
@@ -209,6 +210,96 @@ def test_left_normal_form_rejects_non_unit_exponents():
         with pytest.raises(ValueError):
             left_normal_form(st, [(st.atom(1), 1), (st.atom(2), e)])
     assert left_normal_form(st, [(st.delta, 2)]) == delta_power(st, 2)
+
+
+def _token_words(st, rng):
+    """Token strings with random signs: sigma and band tokens mixed on both
+    structures, D^k tokens, and (classical only) permutation literals.  A
+    third of the tokens invert an earlier one, so inverse pairs meet across
+    commuting letters and across letters that stop the scan."""
+    n = st.n
+
+    def token():
+        r = rng.random()
+        if r < 0.45:
+            tok = f"s{rng.randint(1, n - 1)}"
+        elif r < 0.85:
+            s = rng.randint(1, n - 1)
+            tok = f"a({rng.randint(s + 1, n)},{s})"
+        elif r < 0.93 or not hasattr(st, "simple_to_word"):
+            return f"D^{rng.randint(-2, 2)}"
+        else:
+            return "[" + ",".join(map(str, rng.sample(range(1, n + 1), n))) + "]"
+        return tok + rng.choice(["", "^-1"])
+
+    for _ in range(6):
+        toks: list = []
+        for _ in range(rng.randint(0, 40)):
+            earlier = [t for t in toks[-6:] if t[0] in "sa"]
+            if earlier and rng.random() < 0.35:
+                t = rng.choice(earlier)
+                toks.append(t[:-3] if t.endswith("^-1") else t + "^-1")
+            else:
+                toks.append(token())
+        yield toks
+
+
+def test_cancel_pass_keeps_the_normal_form():
+    rng = random.Random(20261019)
+    cancelled = 0
+    for n in range(3, 9):
+        for st in (artin_structure(n), bkl_structure(n)):
+            for toks in _token_words(st, rng):
+                word = [letter for i, t in enumerate(toks, 1)
+                        for letter in _parse_token(st, t, i)]
+                kept = [(s, e) for s, e, _ in _cancel_commuting_pairs(st, word)]
+                cancelled += len(word) - len(kept)
+                expected = letterwise_normal_form(st, _unit_delta_letters(st, word))
+                assert letterwise_normal_form(st, _unit_delta_letters(st, kept)) == expected
+                assert left_normal_form(st, word) == expected
+    assert cancelled > 300  # the pass did cancel across these words
+
+
+def test_cancel_pass_examples():
+    st = artin_structure(5)
+    s1, s2, s3 = st.atom(1), st.atom(2), st.atom(3)
+
+    def kept(word):
+        return [(s, e) for s, e, _ in _cancel_commuting_pairs(st, word)]
+
+    # s1 commutes with s3: the pair cancels across it
+    assert kept([(s1, 1), (s3, 1), (s1, -1)]) == [(s3, 1)]
+    # s2 does not commute with s1, Delta and non-atoms stop the scan
+    for stop in [(s2, 1), (st.delta, 1), (st.prod(s1, s3), 1)]:
+        assert kept([(s1, 1), stop, (s1, -1)]) == [(s1, 1), stop, (s1, -1)]
+    # a cancelled pair lets an outer pair meet
+    assert kept([(s3, -1), (s1, 1), (s1, -1), (s3, 1)]) == []
+
+
+def test_cancel_pass_leaves_non_unit_exponents_to_raise():
+    st = artin_structure(4)
+    a, c = st.atom(1), st.atom(3)
+    for word in ([(a, 2), (a, -1)], [(a, 1), (a, 2), (a, -1)],
+                 [(a, 1), (a, -1), (a, 2)], [(a, 1), (c, 2), (a, -1)],
+                 [(a, -1), (c, 0), (a, 1)]):
+        with pytest.raises(ValueError):
+            left_normal_form(st, word)
+
+
+def test_atom_commutation_matches_the_textbook_rules():
+    for n in range(2, 9):
+        st = artin_structure(n)
+        for i in range(n - 1):
+            for j in range(n - 1):
+                if i != j:
+                    assert st.atoms_commute(i, j) == (abs(i - j) >= 2)
+        st = bkl_structure(n)
+        bands = [(t, s) for t in range(2, n + 1) for s in range(1, t)]
+        assert [st.atom(t, s) for t, s in bands] == list(st.atoms)
+        for i, (t, s) in enumerate(bands):
+            for j, (r, q) in enumerate(bands):
+                if i != j:
+                    assert st.atoms_commute(i, j) == ((t - r) * (t - q) * (s - r) * (s - q) > 0)
 
 
 def test_inverse_closed_formula(rng):

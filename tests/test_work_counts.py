@@ -13,7 +13,9 @@ import pytest
 
 import garside.circuits
 from garside.artin import ArtinStructure, artin_structure
+from garside.bkl import BKLStructure, bkl_structure
 from garside.cli import main
+from garside.words import parse_word
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,6 +51,35 @@ def test_table_n6_work_counts(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1] == (
         "artin,6,0,89,38,22,15,8.06742,4.40449,2.14131,16.2646,6.38162,3.78721")
     assert counts == {"sss_conjugations": 917, "membership_steps": 503, "join_passes": 3105}
+
+
+def _workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("cls, structure, name, expected", [
+    (ArtinStructure, artin_structure, "artin", 596),
+    (BKLStructure, bkl_structure, "bkl", 276),
+], ids=["artin", "bkl"])
+def test_normal_form_meet_counts_on_an_nf_long_word(monkeypatch, cls, structure, name, expected):
+    """The meets that the normal form of the first `nf-long` corpus word
+    takes: the classical B_8 word of 300 letters, the dual B_8 word of 100."""
+    workloads = _workloads(monkeypatch)
+    n, length = dict((s, (n, k)) for s, n, k in workloads.NF_SHAPES)[name]
+    word = workloads.nf_corpus(name, n, length)[0]
+    count = 0
+    meet_simple = cls.meet_simple
+
+    def counted(self, a, b):
+        nonlocal count
+        count += 1
+        return meet_simple(self, a, b)
+
+    monkeypatch.setattr(cls, "meet_simple", counted)
+    parse_word(structure(n), " ".join(word))
+    assert count == expected
 
 
 def _arrow_search_counts(monkeypatch, capsys, argvs):
@@ -94,9 +125,7 @@ def test_arrow_search_work_counts(monkeypatch, capsys, argvs, expected):
 def test_arrow_search_work_counts_on_the_conj_corpus(monkeypatch, capsys):
     """`sc` on each class of the `conj-random` benchmark corpus: its 24
     classical B_5 and 24 dual B_4 words, whole graphs."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    workloads = importlib.import_module("workloads")
+    workloads = _workloads(monkeypatch)
     got = {}
     for structure, n, length in workloads.CONJ_SHAPES:
         got[structure] = _arrow_search_counts(monkeypatch, capsys, [
