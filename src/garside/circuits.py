@@ -49,8 +49,8 @@ the arrows at tau(y) are tau of the arrows at y.  tau has order 2 on the
 classical structure and n on the dual one.  So `compute_sss` takes in a
 whole orbit at a time and runs the rho_a fixpoints at one element of it,
 `compute_scg` searches the arrows once per orbit and hands the other
-vertices of the orbit their twisted lists, and membership in SC is tested
-once per orbit.
+vertices of the orbit their twisted lists, whose arrows carry the twisted
+targets, and membership in SC is tested once per orbit.
 """
 
 from __future__ import annotations
@@ -85,6 +85,12 @@ def _tau_orbit(y: GarsideElement) -> list:
         if factors == y.factors:
             return orbit
         orbit.append(GarsideElement(st, y.p, factors))
+
+
+def _twist(z: GarsideElement, k: int) -> GarsideElement:
+    """tau^k(z) = Delta^p tau^k(z_1) ... tau^k(z_r), again in normal form."""
+    st = z.structure
+    return GarsideElement(st, z.p, tuple(st.tau_pow(f, k) for f in z.factors))
 
 
 class _SCMembership:
@@ -126,11 +132,12 @@ def _minimal(st: GarsideStructure, simples: list) -> list:
 
 
 def indecomposable_conjugators(
-    y: GarsideElement, member, budgets: Budgets | None = None
+    y: GarsideElement, member, budgets: Budgets = Budgets()
 ) -> list:
-    """Minimal nontrivial simple conjugators keeping y inside the set
+    """Minimal nontrivial simple conjugators c keeping y inside the set
     recognized by `member`, which must be a part of the super summit set of
-    y whose conjugators are closed under meets (the sliding circuits are).
+    y whose conjugators are closed under meets (the sliding circuits are),
+    as (c, y^c) pairs sorted by c.
 
     Each atom a has a least success c_a above it, found by a search upward
     from rho_a(y) in increasing (norm, simple) order over closed simples
@@ -139,12 +146,12 @@ def indecomposable_conjugators(
     otherwise y^s is tested: a success is c_a for every open atom a <= s, a
     failure pushes the closure of s t for each atom t with s t simple.  The
     simples pushed count against `budgets.max_set_size`.  The result is the
-    set of those c_a that are minimal overall, in the canonical order.
+    set of those c_a that are minimal overall, each with the y^c_a its
+    own membership test computed.
     """
     st = y.structure
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
-    budgets = budgets or Budgets()
     order_mask = st.order_mask
     y_inv = inverse(y)
     # each atom's order mask is one bit; low[bit] is rho_a while the bit is
@@ -163,7 +170,7 @@ def indecomposable_conjugators(
                 m = order_mask(s)
         return s
 
-    heap, seen = [], set()
+    heap, seen, found = [], set(), {}
 
     def push(s):
         s = close(s)
@@ -183,15 +190,16 @@ def indecomposable_conjugators(
             continue
         if (c := close(s)) != s:
             push(c)
-        elif member(conjugate_simple(y, s)):
+        elif member(z := conjugate_simple(y, s)):
             low.update({b: s for b in low if open_ & b})
+            found[s] = z
             todo &= ~open_
         else:
             room = order_mask(st.complement(s))
             for b, t in atoms:
                 if room & b:
                     push(st.prod(s, t))
-    return sorted(_minimal(st, [c for b, c in low.items() if not b & todo]))
+    return sorted((c, found[c]) for c in _minimal(st, found))
 
 
 @dataclass
@@ -216,7 +224,7 @@ class SlidingCircuitsGraph:
 
 def compute_scg(
     x: GarsideElement,
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
     targets=(),
     start: GarsideElement | None = None,
 ) -> SlidingCircuitsGraph:
@@ -236,10 +244,10 @@ def compute_scg(
     is whole.
 
     The arrows are searched at the first vertex of each tau-orbit to be
-    popped; the other vertices of the orbit take its list twisted by tau^k
-    and re-sorted when they are popped in turn.
+    popped, and each carries the target its membership test computed; the
+    other vertices of the orbit take the list twisted by tau^k, conjugators
+    and targets alike, and re-sorted when they are popped in turn.
     """
-    budgets = budgets or Budgets()
     if budgets.max_vertices < 1:
         # the representative is a vertex too
         raise BudgetExceeded(
@@ -262,9 +270,8 @@ def compute_scg(
         if arrows is None:
             arrows = indecomposable_conjugators(y, member, budgets)
             for k, w in enumerate(_tau_orbit(y)[1:], 1):
-                twisted[w] = sorted(st.tau_pow(c, k) for c in arrows)
-        for s in arrows:
-            z = conjugate_simple(y, s)
+                twisted[w] = sorted((st.tau_pow(c, k), _twist(z, k)) for c, z in arrows)
+        for s, z in arrows:
             graph.arrows.append((y, s, z))
             if z not in parent:
                 if len(parent) >= budgets.max_vertices:
@@ -319,7 +326,7 @@ def _class_invariants(x: GarsideElement) -> tuple:
 
 
 def solve_csp(
-    x: GarsideElement, y: GarsideElement, budgets: Budgets | None = None
+    x: GarsideElement, y: GarsideElement, budgets: Budgets = Budgets()
 ) -> ConjugatorWitness | None:
     """Conjugacy search: a verified witness c with x^c = y, or None.
 
@@ -340,7 +347,6 @@ def solve_csp(
         raise ValueError("elements over different structures")
     if _class_invariants(x) != _class_invariants(y):
         return None
-    budgets = budgets or Budgets()
     rep_y, traj_y = slide_to_circuit(y, budgets.max_trajectory_states)
     rep_x, traj_x = slide_to_circuit(x, budgets.max_trajectory_states)
     if (rep_x.inf, rep_x.canonical_length) != (rep_y.inf, rep_y.canonical_length):
@@ -386,7 +392,7 @@ def _summit_conjugator(y: GarsideElement, y_inv: GarsideElement, a):
 
 def compute_sss(
     x: GarsideElement,
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
     start: GarsideElement | None = None,
 ) -> frozenset:
     """The set of conjugates of minimal canonical length (and, among those,
@@ -403,7 +409,6 @@ def compute_sss(
     along which the rho_a move, so each element popped brings in its whole
     orbit, and the fixpoints run at that one element.
     """
-    budgets = budgets or Budgets()
     rep = start
     if rep is None:
         rep = slide_to_circuit(x, budgets.max_trajectory_states)[0]
@@ -433,10 +438,9 @@ def compute_sss(
     return frozenset(known)
 
 
-def sliding_circuits_in_sss(sss: frozenset, budgets: Budgets | None = None) -> frozenset:
+def sliding_circuits_in_sss(sss: frozenset, budgets: Budgets = Budgets()) -> frozenset:
     """The set of sliding circuits of a class, read off its super summit
     set: SC is the part of SSS on which iterated sliding returns."""
-    budgets = budgets or Budgets()
     some = next(iter(sss))
     member = _SCMembership(some.inf, some.canonical_length, budgets)
     seen: set = set()

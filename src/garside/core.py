@@ -39,7 +39,7 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class Budgets:
     """Caps for the enumerative algorithms and for sliding trajectories;
     exhaustion raises BudgetExceeded.  The class defaults are the defaults

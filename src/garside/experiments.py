@@ -63,11 +63,10 @@ class StatisticsRow:
 
 
 def enumerate_length_one_classes(
-    st: GarsideStructure, i: int = 0, budgets: Budgets | None = None
+    st: GarsideStructure, i: int = 0, budgets: Budgets = Budgets()
 ) -> list:
     """All conjugacy classes with summit infimum i and summit canonical
     length 1, as ClassStatistics sorted by class representative."""
-    budgets = budgets or Budgets()
     if st.simple_count() > budgets.max_set_size:  # refused before enumerating
         raise BudgetExceeded(f"{st.name} has {st.simple_count()} simple elements, "
                              f"more than the set budget of {budgets.max_set_size}")

@@ -25,6 +25,7 @@ from .core import (
     conjugate_simple,
     from_simple,
     identity_element,
+    left_normal_form,
     multiply,
 )
 
@@ -82,11 +83,8 @@ class SlidingTrajectory:
 
     def prefix_product(self, i: int) -> GarsideElement:
         """P_i(start) = p(start) p(s(start)) ... p(s^{i-1}(start))."""
-        st = self.start.structure
-        out = identity_element(st)
-        for j in range(i):
-            out = multiply(out, from_simple(st, self.prefixes[self._index(j)]))
-        return out
+        return left_normal_form(self.start.structure,
+                                [(self.prefixes[self._index(j)], 1) for j in range(i)])
 
     def prefix_products(self, k: int, max_factors: int = Budgets.max_set_size) -> list:
         """[P_0(start), ..., P_k(start)], each the one before times one
@@ -115,9 +113,7 @@ def _slide_until(x: GarsideElement, known, max_states: int):
     cur = x
     while True:
         if len(index) > max_states:
-            raise BudgetExceeded(
-                f"sliding trajectory exceeded {max_states} states from {x!r}"
-            )
+            raise BudgetExceeded(f"sliding trajectory exceeded {max_states} states")
         s = preferred_prefix(cur)
         prefixes.append(s)
         cur = conjugate_simple(cur, s)

@@ -8,7 +8,7 @@ subsets of a class, simples from words and back by rescanning, and
 non-crossing partitions by filtering all set partitions."""
 
 from garside.bkl import is_noncrossing
-from garside.circuits import BudgetExceeded, compute_scg, solve_csp
+from garside.circuits import BudgetExceeded, Budgets, compute_scg, solve_csp
 from garside.core import (
     GarsideElement,
     GarsideStructure,
@@ -365,7 +365,7 @@ def in_rsss(x: GarsideElement, max_states: int = 10**6) -> bool:
     )
 
 
-def sliding_circuit_set(x: GarsideElement, budgets=None) -> frozenset:
+def sliding_circuit_set(x: GarsideElement, budgets: Budgets = Budgets()) -> frozenset:
     """The vertices of the sliding circuits graph of x, as a set."""
     return frozenset(compute_scg(x, budgets).vertices)
 

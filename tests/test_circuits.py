@@ -251,7 +251,7 @@ def test_indecomposable_conjugators_against_brute_force():
         for x in seeds:
             rep, _ = slide_to_circuit(x)
             member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
-            got = indecomposable_conjugators(rep, member)
+            got = [c for c, _ in indecomposable_conjugators(rep, member)]
             successes = [
                 s for s in st.simples()
                 if not st.is_trivial(s) and member(conjugate_simple(rep, s))
@@ -274,7 +274,8 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
     of the n-cycle seeds.  The search tests simples in increasing
     (norm, simple) order, and each is closed against the bounds known when
     it was tested: it lies above some atom a whose c_a is not yet found,
-    and above rho_b, or c_b once found, for every atom b below it."""
+    and above rho_b, or c_b once found, for every atom b below it.  Each
+    conjugator carries its target y^c, a member of the set."""
     import garside.circuits
 
     rng = random.Random(20261018)
@@ -300,8 +301,11 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
             tested.clear()
             with monkeypatch.context() as m:
                 m.setattr(garside.circuits, "conjugate_simple", recorded)
-                got = indecomposable_conjugators(y, member)
+                pairs = indecomposable_conjugators(y, member)
+            got = [c for c, _ in pairs]
             assert got == scan_indecomposable_conjugators(y, member)
+            for c, z in pairs:
+                assert z == conjugate_simple(y, c) and member(z)
             keys = [(st.norm(s), s) for s in tested]
             assert keys == sorted(set(keys))
             y_inv = inverse(y)
@@ -846,14 +850,15 @@ def test_summit_conjugators_and_arrows_move_with_tau():
             for a in st.atoms:
                 assert _summit_conjugator(ty, ty_inv, st.tau(a)) == \
                     st.tau(_summit_conjugator(y, y_inv, a))
-            assert indecomposable_conjugators(ty, member) == \
-                sorted(st.tau(c) for c in indecomposable_conjugators(y, member))
+            assert [c for c, _ in indecomposable_conjugators(ty, member)] == \
+                sorted(st.tau(c) for c, _ in indecomposable_conjugators(y, member))
     assert orbit_sizes >= {2, 4, 6}
 
 
 def test_scg_arrows_match_scan_at_every_vertex(monkeypatch):
     """The arrows compute_scg hands a vertex from a tau-conjugate are
-    checked against the scan oracle, not against the search; the search
+    checked against the scan oracle, not against the search, and each
+    target, carried or twisted, against a fresh conjugation; the search
     runs once per tau-orbit of vertices, and the rho_a fixpoints of
     compute_sss once per tau-orbit of its elements."""
     import garside.circuits
@@ -883,6 +888,8 @@ def test_scg_arrows_match_scan_at_every_vertex(monkeypatch):
         for v in graph.vertices:
             assert [c for y, c, _ in graph.arrows if y == v] == \
                 scan_indecomposable_conjugators(v, member)
+        for y, c, z in graph.arrows:
+            assert z == conjugate_simple(y, c) and member(z)
         calls["rho"] = 0
         sss = compute_sss(x)
         assert calls["rho"] == len(st.atoms) * len(tau_orbits(sss))

@@ -535,6 +535,18 @@ def test_unbounded_prefix_chain_counterexample():
         prev = cur
 
 
+def test_trajectory_prefix_product_matches_the_stepwise_oracle(rng):
+    """P_i read off the trajectory, in one normal form of its prefixes,
+    equals the product built one sliding at a time, for every i up to two
+    periods past the last state."""
+    for st in structures_for_properties():
+        for _ in range(10):
+            x = random_element(st, rng)
+            traj = sliding_trajectory(x)
+            for i in range(len(traj.states) + 2 * traj.period):
+                assert traj.prefix_product(i) == prefix_product(x, i)
+
+
 def test_prefix_products_conjugate_along_trajectory(rng):
     for st in structures_for_properties():
         for _ in range(30):

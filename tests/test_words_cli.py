@@ -377,6 +377,16 @@ def test_cli_zero_budgets_count_the_first_element(capsys):
     assert (code, out) == (0, "D\n")
 
 
+def test_cli_trajectory_budget_message_names_the_cap(capsys):
+    """The message of an exhausted trajectory budget is one short line that
+    names the cap, however long the element: here a 300-letter B_8 word."""
+    rng = random.Random(20261019)
+    word = " ".join(f"s{rng.randint(1, 7)}{rng.choice(['', '^-1'])}" for _ in range(300))
+    code, out, err = run_cli(capsys, ["--n", "8", "--max-trajectory", "0", "traj", word])
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: sliding trajectory exceeded 0 states\n"
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["nf", "wat"])
     assert code == 2

@@ -122,6 +122,29 @@ def test_arrow_search_work_counts(monkeypatch, capsys, argvs, expected):
     assert _arrow_search_counts(monkeypatch, capsys, argvs) == expected
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (_seed(7), 132),
+    (_seed(8), 351),
+    (["--structure", "bkl", "--n", "8", "a(3,1) a(5,4) a(8,2)"], 966),
+], ids=["seed7", "seed8", "bkl8"])
+def test_sc_conjugation_counts(monkeypatch, capsys, argv, expected):
+    """The conjugations in `circuits` that `sc` takes: one per simple the
+    arrow searches test, as each arrow keeps the target its membership test
+    computed and the other vertices of a tau-orbit twist them."""
+    count = 0
+    conjugate_simple = garside.circuits.conjugate_simple
+
+    def counted(x, s):
+        nonlocal count
+        count += 1
+        return conjugate_simple(x, s)
+
+    monkeypatch.setattr(garside.circuits, "conjugate_simple", counted)
+    assert main([*argv[:-1], "sc", argv[-1]]) == 0
+    capsys.readouterr()
+    assert count == expected
+
+
 def test_arrow_search_work_counts_on_the_conj_corpus(monkeypatch, capsys):
     """`sc` on each class of the `conj-random` benchmark corpus: its 24
     classical B_5 and 24 dual B_4 words, whole graphs."""
