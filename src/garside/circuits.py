@@ -37,8 +37,13 @@ it stops growing gives its closure.  If c < c_a is closed and t is the
 first letter of c^-1 c_a, the closure of c t is still <= c_a.  So a search
 in increasing norm from the closures of the rho_a, stepping from each
 failure s to the closures of s t, meets c_a as its first success above a,
-and it tests no simple that is not closed.  The paper's transport and
-pullback along the circuit stay a citation.
+and it tests no simple that is not closed.  Only the atoms whose rho_a is
+<=-minimal need a search, and it starts from the minimal rho alone: a
+minimal c_a lies above rho_a, hence above an atom e with a minimal
+rho_e <= rho_a, and e <= c_a gives c_e <= c_a, so c_e = c_a.  Both walks
+take the rho_a and their minimal elements from one helper, once per
+vertex.  The paper's transport and pullback along the circuit stay a
+citation.
 
 All of this commutes with conjugation by Delta.  Write tau(y) = y^Delta;
 for y = Delta^p y_1 ... y_r it is Delta^p tau(y_1) ... tau(y_r), again in
@@ -48,9 +53,9 @@ rho_tau(a)(tau(y)) = tau(rho_a(y)) (Franco and Gonzalez-Meneses); likewise
 the arrows at tau(y) are tau of the arrows at y.  tau has order 2 on the
 classical structure and n on the dual one.  So `compute_sss` takes in a
 whole orbit at a time and runs the rho_a fixpoints at one element of it,
-`compute_scg` searches the arrows once per orbit and hands the other
-vertices of the orbit their twisted lists, whose arrows carry the twisted
-targets, and membership in SC is tested once per orbit.
+`compute_scg` searches the arrows once per orbit and, as each other vertex
+of the orbit is popped, hands it the list twisted, whose arrows carry the
+twisted targets, and membership in SC is tested once per orbit.
 """
 
 from __future__ import annotations
@@ -131,6 +136,34 @@ def _minimal(st: GarsideStructure, simples: list) -> list:
             if not any(m2 != m and not m2 & ~m for m2 in masks)]
 
 
+def _summit_bounds(y: GarsideElement) -> tuple:
+    """(low, rhos) for y in its super summit set: low maps the one-bit
+    order mask of each atom a to rho_a(y), the least simple c with a <= c
+    and y^c in the set, and rhos lists the distinct <=-minimal rho_a(y), in
+    order of first appearance.
+
+    For y = Delta^p y_1 ... y_r, inf(y^c) >= p iff tau^p(c) <= y_1...y_r c,
+    iff (y_1...y_r) \\ tau^p(c) <= c, where u \\ t = u^-1 (u v t) is
+    computed factor by factor.  The same condition on y^-1 keeps
+    sup(y^c) <= sup(y).  Both lower bounds on c are monotone in c, so
+    iterating c <- c v bounds from c = a reaches the least fixpoint.
+    """
+    st = y.structure
+    y_inv = inverse(y)
+    low = {}
+    for a in st.atoms:
+        c, nxt = None, a
+        while nxt != c:
+            c = nxt
+            for z in (y, y_inv):
+                t = st.tau_pow(c, z.p)
+                for f in z.factors:
+                    t = st.lquot(f, st.join_simple(f, t))
+                nxt = st.join_simple(nxt, t)
+        low[st.order_mask(a)] = c
+    return low, _minimal(st, low.values())
+
+
 def indecomposable_conjugators(
     y: GarsideElement, member, budgets: Budgets = Budgets()
 ) -> list:
@@ -139,26 +172,30 @@ def indecomposable_conjugators(
     y whose conjugators are closed under meets (the sliding circuits are),
     as (c, y^c) pairs sorted by c.
 
-    Each atom a has a least success c_a above it, found by a search upward
-    from rho_a(y) in increasing (norm, simple) order over closed simples
+    Each atom a has a least success c_a above it.  Only the atoms whose
+    rho_a(y) is <=-minimal among the rho's are open: if c_a is minimal
+    overall and e is an atom with a minimal rho_e <= rho_a, then
+    e <= rho_a <= c_a, so c_e <= c_a by meet-closure and c_e = c_a.  Their
+    c_a are found by one search upward from the minimal rho in increasing
+    (norm, simple) order over simples closed against every atom's bound
     (see the module docstring).  A popped simple with no open atom below it
     is dropped, one the bounds have outgrown is replaced by its closure, and
     otherwise y^s is tested: a success is c_a for every open atom a <= s, a
     failure pushes the closure of s t for each atom t with s t simple.  The
     simples pushed count against `budgets.max_set_size`.  The result is the
-    set of those c_a that are minimal overall, each with the y^c_a its
-    own membership test computed.
+    set of those c_a that are minimal, each with the y^c_a its own
+    membership test computed.
     """
     st = y.structure
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
     order_mask = st.order_mask
-    y_inv = inverse(y)
-    # each atom's order mask is one bit; low[bit] is rho_a while the bit is
-    # in todo, c_a after
+    # each atom's order mask is one bit; low[bit] is rho_a, or c_a once
+    # found; todo holds the open atoms whose c_a is not found yet
+    low, rhos = _summit_bounds(y)
     atoms = [(order_mask(a), a) for a in st.atoms]
-    low = {b: _summit_conjugator(y, y_inv, a) for b, a in atoms}
-    todo = atom_bits = sum(low)
+    atom_bits = sum(low)
+    todo = sum(b for b, c in low.items() if c in rhos)
 
     def close(s):
         m, checked = order_mask(s), 0
@@ -181,7 +218,7 @@ def indecomposable_conjugators(
             seen.add(s)
             heapq.heappush(heap, (st.norm(s), s))
 
-    for c in low.values():
+    for c in rhos:
         push(c)
     while todo and heap:
         s = heapq.heappop(heap)[1]
@@ -245,8 +282,9 @@ def compute_scg(
 
     The arrows are searched at the first vertex of each tau-orbit to be
     popped, and each carries the target its membership test computed; the
-    other vertices of the orbit take the list twisted by tau^k, conjugators
-    and targets alike, and re-sorted when they are popped in turn.
+    other vertices of the orbit keep that list with their k, and twist it
+    by tau^k, conjugators and targets alike, and re-sort it only when they
+    are popped in turn.
     """
     if budgets.max_vertices < 1:
         # the representative is a vertex too
@@ -262,15 +300,17 @@ def compute_scg(
     parent = graph.parent
     # sort keys are unique per element, so the heap never compares elements
     frontier = [(rep.sort_key(), rep)]
-    # arrows of vertices not yet popped, read off a tau-conjugate popped earlier
-    twisted: dict = {}
+    # (k, arrows at y) for each tau^k(y) not yet popped of a searched orbit
+    searched: dict = {}
     while frontier and parent.keys().isdisjoint(targets):
         _, y = heapq.heappop(frontier)
-        arrows = twisted.pop(y, None)
-        if arrows is None:
+        if y in searched:
+            k, arrows = searched.pop(y)
+            arrows = sorted((st.tau_pow(c, k), _twist(z, k)) for c, z in arrows)
+        else:
             arrows = indecomposable_conjugators(y, member, budgets)
             for k, w in enumerate(_tau_orbit(y)[1:], 1):
-                twisted[w] = sorted((st.tau_pow(c, k), _twist(z, k)) for c, z in arrows)
+                searched[w] = (k, arrows)
         for s, z in arrows:
             graph.arrows.append((y, s, z))
             if z not in parent:
@@ -366,30 +406,6 @@ def solve_csp(
     return ConjugatorWitness(x, y, c)
 
 
-def _summit_conjugator(y: GarsideElement, y_inv: GarsideElement, a):
-    """rho_a(y): the least simple c with a <= c and y^c in the super
-    summit set of y, for y in that set and y_inv = y^-1.
-
-    For y = Delta^p y_1 ... y_r, inf(y^c) >= p iff tau^p(c) <= y_1...y_r c,
-    iff (y_1...y_r) \\ tau^p(c) <= c, where u \\ t = u^-1 (u v t) is
-    computed factor by factor.  The same condition on y^-1 keeps
-    sup(y^c) <= sup(y).  Both lower bounds on c are monotone in c, so
-    iterating c <- c v bounds from c = a reaches the least fixpoint.
-    """
-    st = y.structure
-    c = a
-    while True:
-        nxt = c
-        for z in (y, y_inv):
-            t = st.tau_pow(c, z.p)
-            for f in z.factors:
-                t = st.lquot(f, st.join_simple(f, t))
-            nxt = st.join_simple(nxt, t)
-        if nxt == c:
-            return c
-        c = nxt
-
-
 def compute_sss(
     x: GarsideElement,
     budgets: Budgets = Budgets(),
@@ -412,7 +428,6 @@ def compute_sss(
     rep = start
     if rep is None:
         rep = slide_to_circuit(x, budgets.max_trajectory_states)[0]
-    st = x.structure
     inf_s, ell_s = rep.inf, rep.canonical_length
     known: set = set()
     frontier = [rep]
@@ -426,8 +441,7 @@ def compute_sss(
                     f"summit set exceeded {budgets.max_set_size} elements"
                 )
             known.add(w)
-        y_inv = inverse(y)
-        for c in _minimal(st, [_summit_conjugator(y, y_inv, a) for a in st.atoms]):
+        for c in _summit_bounds(y)[1]:
             z = conjugate_simple(y, c)
             if z.inf != inf_s or z.canonical_length != ell_s:
                 raise VerificationError(

@@ -36,7 +36,7 @@ class WordError(ValueError):
 _SIGMA = re.compile(r"^s(\d+)(\^-1)?$")
 _DELTA = re.compile(r"^D(?:\^(-?\d+))?$")
 _BAND = re.compile(r"^a\((\d+),(\d+)\)(\^-1)?$")
-_PERM = re.compile(r"^\[[\d,\s]+\]$")
+_PERM = re.compile(r"^\[\d+(?:,\d+)*\]$")
 
 
 def parse_word(st: GarsideStructure, text: str) -> GarsideElement:

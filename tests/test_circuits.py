@@ -11,7 +11,7 @@ from garside.circuits import (
     Budgets,
     _SCMembership,
     _class_invariants,
-    _summit_conjugator,
+    _summit_bounds,
     _tau_orbit,
     compute_scg,
     compute_sss,
@@ -27,7 +27,6 @@ from garside.core import (
     delta_power,
     from_simple,
     identity_element,
-    inverse,
     left_normal_form,
     multiply,
     power,
@@ -135,23 +134,37 @@ def test_sss_matches_scan_on_random_words():
 
 
 def test_summit_conjugators_are_least_above_each_atom(rng):
-    """rho_a(y) is the meet of every simple above a that keeps y in its
-    super summit set."""
+    """`_summit_bounds(y)` maps each atom a, by its order mask, to rho_a(y),
+    the meet of every simple above a that keeps y in its super summit set,
+    and lists the distinct <=-minimal rho_a(y) in atom order of first
+    appearance.  The samples include vertices with several minimal rho and
+    with atoms that share one."""
+    shapes = set()
     for st in [artin_structure(4), bkl_structure(4)]:
         for _ in range(6):
             y = slide_to_circuit(random_element(st, rng, length=8))[0]
-            y_inv = inverse(y)
             keep = [
                 s for s in st.simples()
                 if conjugate_simple(y, s).inf == y.inf
                 and conjugate_simple(y, s).canonical_length == y.canonical_length
             ]
+            least = {}
             for a in st.atoms:
                 above = [s for s in keep if st.leq(a, s)]
-                least = above[0]
+                least[a] = above[0]
                 for s in above[1:]:
-                    least = st.meet_simple(least, s)
-                assert _summit_conjugator(y, y_inv, a) == least
+                    least[a] = st.meet_simple(least[a], s)
+            minimal = []
+            for c in least.values():
+                if c not in minimal and not any(
+                        d != c and st.leq(d, c) for d in least.values()):
+                    minimal.append(c)
+            low, rhos = _summit_bounds(y)
+            assert low == {st.order_mask(a): least[a] for a in st.atoms}
+            assert rhos == minimal
+            shared = sum(c in minimal for c in least.values()) > len(minimal)
+            shapes.add((len(minimal) > 1, shared))
+    assert shapes >= {(True, True), (True, False)}
 
 
 def test_summit_conjugate_leaving_the_set_is_a_program_fault(monkeypatch):
@@ -273,9 +286,10 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
     vertex of the sliding circuits graphs of fixed-seed random classes and
     of the n-cycle seeds.  The search tests simples in increasing
     (norm, simple) order, and each is closed against the bounds known when
-    it was tested: it lies above some atom a whose c_a is not yet found,
-    and above rho_b, or c_b once found, for every atom b below it.  Each
-    conjugator carries its target y^c, a member of the set."""
+    it was tested: it lies above some open atom a, one whose rho_a is
+    <=-minimal, whose c_a is not yet found, and above rho_b, or c_b once
+    found, for every atom b below it.  It finds c_a for exactly the open
+    atoms.  Each conjugator carries its target y^c, a member of the set."""
     import garside.circuits
 
     rng = random.Random(20261018)
@@ -308,18 +322,20 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
                 assert z == conjugate_simple(y, c) and member(z)
             keys = [(st.norm(s), s) for s in tested]
             assert keys == sorted(set(keys))
-            y_inv = inverse(y)
-            low = {a: _summit_conjugator(y, y_inv, a) for a in st.atoms}
+            bounds, rhos = _summit_bounds(y)
+            low = {a: bounds[st.order_mask(a)] for a in st.atoms}
+            open_atoms = {a for a in st.atoms if low[a] in rhos}
             found = set()
             for s in tested:
                 below = [a for a in st.atoms if st.leq(a, s)]
-                assert not found.issuperset(below)
+                open_below = open_atoms.intersection(below)
+                assert not found.issuperset(open_below)
                 assert all(st.leq(low[b], s) for b in below)
                 if member(conjugate_simple(y, s)):
-                    for a in set(below) - found:
+                    for a in open_below - found:
                         low[a] = s
-                    found.update(below)
-            assert found == set(st.atoms) and set(got) <= set(low.values())
+                    found.update(open_below)
+            assert found == open_atoms and set(got) <= set(low.values())
         vertices += len(graph.vertices)
     assert vertices >= 100
 
@@ -846,10 +862,10 @@ def test_summit_conjugators_and_arrows_move_with_tau():
         for y in sliding_circuit_set(x):
             ty = conjugate(y, delta)
             orbit_sizes.add(len(_tau_orbit(y)))
-            y_inv, ty_inv = inverse(y), inverse(ty)
+            low, ty_low = _summit_bounds(y)[0], _summit_bounds(ty)[0]
             for a in st.atoms:
-                assert _summit_conjugator(ty, ty_inv, st.tau(a)) == \
-                    st.tau(_summit_conjugator(y, y_inv, a))
+                assert ty_low[st.order_mask(st.tau(a))] == \
+                    st.tau(low[st.order_mask(a)])
             assert [c for c, _ in indecomposable_conjugators(ty, member)] == \
                 sorted(st.tau(c) for c, _ in indecomposable_conjugators(y, member))
     assert orbit_sizes >= {2, 4, 6}
@@ -859,8 +875,9 @@ def test_scg_arrows_match_scan_at_every_vertex(monkeypatch):
     """The arrows compute_scg hands a vertex from a tau-conjugate are
     checked against the scan oracle, not against the search, and each
     target, carried or twisted, against a fresh conjugation; the search
-    runs once per tau-orbit of vertices, and the rho_a fixpoints of
-    compute_sss once per tau-orbit of its elements."""
+    runs once per tau-orbit of vertices, and the rho_a fixpoints, all atoms
+    at once, once per searched orbit and, in compute_sss, once per tau-orbit
+    of its elements."""
     import garside.circuits
 
     calls = {"arrows": 0, "rho": 0}
@@ -873,15 +890,14 @@ def test_scg_arrows_match_scan_at_every_vertex(monkeypatch):
 
     monkeypatch.setattr(garside.circuits, "indecomposable_conjugators",
                         counted("arrows", indecomposable_conjugators))
-    monkeypatch.setattr(garside.circuits, "_summit_conjugator",
-                        counted("rho", _summit_conjugator))
+    monkeypatch.setattr(garside.circuits, "_summit_bounds",
+                        counted("rho", _summit_bounds))
     shared = 0
     for x in symmetric_classes():
-        st = x.structure
         calls.update(arrows=0, rho=0)
         graph = compute_scg(x)
         orbits = tau_orbits(graph.vertices)
-        assert calls["arrows"] == len(orbits)
+        assert calls["arrows"] == calls["rho"] == len(orbits)
         shared += len(graph.vertices) - len(orbits)
         rep = graph.vertices[0]
         member = _SCMembership(rep.inf, rep.canonical_length, Budgets())
@@ -892,7 +908,7 @@ def test_scg_arrows_match_scan_at_every_vertex(monkeypatch):
             assert z == conjugate_simple(y, c) and member(z)
         calls["rho"] = 0
         sss = compute_sss(x)
-        assert calls["rho"] == len(st.atoms) * len(tau_orbits(sss))
+        assert calls["rho"] == len(tau_orbits(sss))
         assert sliding_circuits_in_sss(sss) == frozenset(graph.vertices)
     assert shared >= 100
 

@@ -101,8 +101,10 @@ def test_parse_errors_carry_position():
     with pytest.raises(WordError) as exc:
         parse_word(st, "s1 bogus s2")
     assert exc.value.position == 2
-    with pytest.raises(WordError):
-        parse_word(st, "[1,2,2,4]")
+    for literal in ("[1,2,2,4]", "[1,,2,3,4]", "[,4,3,2,1,]"):
+        with pytest.raises(WordError) as exc:
+            parse_word(st, f"s1 {literal}")
+        assert exc.value.position == 2
     with pytest.raises(WordError):
         parse_word(st, "a(9,1)")
     with pytest.raises(WordError):
