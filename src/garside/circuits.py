@@ -19,7 +19,8 @@ under tau, so every such element is a vertex, and the trajectory of y
 already gives a conjugator to each: a prefix product of the slidings times
 a power of Delta.  Only a NO needs the whole graph.  The graph records the
 arrow that first reached each vertex; a YES composes a conjugator along
-these for its hit alone, and checks it once.
+these for its hit alone, shifts it by the central power of Delta that
+makes its |inf| least, and checks it once.
 
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
@@ -27,6 +28,10 @@ a least fixpoint of lattice operations on simples (Franco and
 Gonzalez-Meneses).  Every simple conjugator keeping y in the set lies above
 some rho_a, so the set is connected under the <=-minimal rho_a(y) alone,
 and it is enumerated with one conjugation per minimal rho_a and vertex.
+Only the minimal rho_a must be exact.  The fixpoints run atom by atom, and
+one stops once its iterate lies above an atom b whose rho_b is known:
+rho_b <= rho_a then, so rho_a either equals rho_b or is not minimal, and in
+the second case the iterate joined with rho_b stays as a lower bound.
 
 Arrows of the sliding circuits graph come from both facts.  The least
 success c_a above an atom a lies above rho_a(y), since sliding circuits
@@ -40,9 +45,11 @@ failure s to the closures of s t, meets c_a as its first success above a,
 and it tests no simple that is not closed.  Only the atoms whose rho_a is
 <=-minimal need a search, and it starts from the minimal rho alone: a
 minimal c_a lies above rho_a, hence above an atom e with a minimal
-rho_e <= rho_a, and e <= c_a gives c_e <= c_a, so c_e = c_a.  Both walks
-take the rho_a and their minimal elements from one helper, once per
-vertex.  The paper's transport and pullback along the circuit stay a
+rho_e <= rho_a, and e <= c_a gives c_e <= c_a, so c_e = c_a.  The bounds
+of a fixpoint stopped early are below rho_a, so they are bounds on c_a
+too, and no such bound is a minimal rho, so the open atoms stay the same.
+Both walks take the rho_a bounds and the minimal rho from one helper, once
+per vertex.  The paper's transport and pullback along the circuit stay a
 citation.
 
 All of this commutes with conjugation by Delta.  Write tau(y) = y^Delta;
@@ -137,31 +144,53 @@ def _minimal(st: GarsideStructure, simples: list) -> list:
 
 
 def _summit_bounds(y: GarsideElement) -> tuple:
-    """(low, rhos) for y in its super summit set: low maps the one-bit
-    order mask of each atom a to rho_a(y), the least simple c with a <= c
-    and y^c in the set, and rhos lists the distinct <=-minimal rho_a(y), in
-    order of first appearance.
+    """(low, rhos) for y in its super summit set, where rho_a(y) is the
+    least simple c with a <= c and y^c in the set: rhos lists the distinct
+    <=-minimal rho_a(y), in order of first appearance, and low maps the
+    one-bit order mask of each atom a to a simple with a <= low <= rho_a(y),
+    equal to rho_a(y) whenever that is minimal.
 
     For y = Delta^p y_1 ... y_r, inf(y^c) >= p iff tau^p(c) <= y_1...y_r c,
     iff (y_1...y_r) \\ tau^p(c) <= c, where u \\ t = u^-1 (u v t) is
     computed factor by factor.  The same condition on y^-1 keeps
     sup(y^c) <= sup(y).  Both lower bounds on c are monotone in c, so
     iterating c <- c v bounds from c = a reaches the least fixpoint.
+
+    The atoms are taken in order, and a fixpoint stops as soon as its
+    iterate lies above an atom b whose rho_b is already exact.  Then
+    rho_b <= rho_a by meet-closure.  If a <= rho_b, rho_a = rho_b is exact;
+    otherwise rho_a is not minimal, and the iterate joined with rho_b is
+    kept as its bound.  Every atom with a minimal rho_a runs to the end or
+    meets its equal, so rhos is `_minimal` of the exact values.  An inexact
+    bound is no minimal rho: it lies above a and above rho_b, while any
+    minimal rho above rho_b is rho_b, which does not lie above a.
     """
     st = y.structure
+    order_mask = st.order_mask
     y_inv = inverse(y)
-    low = {}
+    low, done = {}, 0
     for a in st.atoms:
-        c, nxt = None, a
-        while nxt != c:
+        bit = order_mask(a)
+        c, nxt, hits = None, a, 0
+        while nxt != c and not hits:
             c = nxt
             for z in (y, y_inv):
                 t = st.tau_pow(c, z.p)
                 for f in z.factors:
                     t = st.lquot(f, st.join_simple(f, t))
                 nxt = st.join_simple(nxt, t)
-        low[st.order_mask(a)] = c
-    return low, _minimal(st, low.values())
+                if hits := order_mask(nxt) & done:
+                    break
+        if nxt != c:
+            # b <= rho_a, so rho_b <= rho_a, with equality iff a <= rho_b
+            rho_b = low[hits & -hits]
+            if not order_mask(rho_b) & bit:
+                low[bit] = st.join_simple(nxt, rho_b)
+                continue
+            c = rho_b
+        low[bit] = c
+        done |= bit
+    return low, _minimal(st, [c for b, c in low.items() if b & done])
 
 
 def indecomposable_conjugators(
@@ -190,7 +219,8 @@ def indecomposable_conjugators(
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
     order_mask = st.order_mask
-    # each atom's order mask is one bit; low[bit] is rho_a, or c_a once
+    # each atom's order mask is one bit; low[bit] is a lower bound for c_a
+    # (rho_a, or below it where its fixpoint stopped early), or c_a once
     # found; todo holds the open atoms whose c_a is not found yet
     low, rhos = _summit_bounds(y)
     atoms = [(order_mask(a), a) for a in st.atoms]
@@ -380,8 +410,11 @@ def solve_csp(
     increasing.  The graph of x is walked until it knows a target.  Only for
     the first one found, the hit, is a conjugator composed and checked:
     c = w_x g (P_j Delta^k)^-1, w_x the prefix product of x's trajectory
-    that slides x to its circuit and g = `conjugator_to(hit)`.  None from
-    the walk needs the whole graph under the vertex budget.
+    that slides x to its circuit and g = `conjugator_to(hit)`, times the
+    power Delta^(m e) that makes |inf(c)| least, the non-negative one of
+    two.  Delta^e, e the order of tau, is central, so every such shift
+    conjugates x to y.  None from the walk needs the whole graph under the
+    vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
@@ -403,7 +436,11 @@ def solve_csp(
     wit_x = traj_x.prefix_product(traj_x.entry_index)
     to_hit = multiply(traj_y.prefix_product(j), delta_power(x.structure, k))
     c = multiply(multiply(wit_x, graph.conjugator_to(hit)), inverse(to_hit))
-    return ConjugatorWitness(x, y, c)
+    e = x.structure.tau_order
+    p = c.p % e
+    if 2 * p > e:
+        p -= e
+    return ConjugatorWitness(x, y, multiply(c, delta_power(x.structure, p - c.p)))
 
 
 def compute_sss(

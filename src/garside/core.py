@@ -458,7 +458,11 @@ def multiply(x: GarsideElement, y: GarsideElement) -> GarsideElement:
     if st is not y.structure:
         raise ValueError("elements over different structures")
     p = x.p + y.p
-    fs = [st.tau_pow(f, y.p) for f in x.factors]
+    # Delta^(tau_order) is central: tau^0 leaves the factors as they are
+    if y.p % st.tau_order:
+        fs = [st.tau_pow(f, y.p) for f in x.factors]
+    else:
+        fs = list(x.factors)
     for c in y.factors:
         p += _push_factor(st, fs, c)
     return _element(st, p, fs)

@@ -227,7 +227,8 @@ def full_graph_conjugator(x, y):
     the first vertex, in the order the walk found them, that is
     tau^k(s_j) = y^(P_j Delta^k) for a state s_j on y's circuit; with the
     least such (j, k), a conjugator c = witness (P_j Delta^k)^-1 with
-    x^c = y, or None."""
+    x^c = y, shifted by the central power of Delta that makes its |inf|
+    least, or None."""
     st = y.structure
     traj = sliding_trajectory(y)
     delta = delta_power(st, 1)
@@ -243,8 +244,19 @@ def full_graph_conjugator(x, y):
             if t == v:
                 to_v = multiply(traj.prefix_product(j), delta_power(st, k))
                 w = multiply(wit_x, graph.conjugator_to(v))
-                return multiply(w, inverse(to_v))
+                return shortest_central_shift(multiply(w, inverse(to_v)))
     return None
+
+
+def shortest_central_shift(c):
+    """Of the c Delta^(m e), e the order of tau, which are central shifts
+    of c, the one of least |inf|, the non-negative one of two; found by
+    trying every m that can reach it."""
+    st = c.structure
+    e = st.tau_order
+    shifts = [multiply(c, delta_power(st, m * e))
+              for m in range(-abs(c.p) // e - 1, abs(c.p) // e + 2)]
+    return min(shifts, key=lambda d: (abs(d.p), d.p < 0))
 
 
 @pytest.fixture

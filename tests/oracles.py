@@ -5,7 +5,8 @@ lattice operations on elements, cyclic sliding one step at a time, the
 reverse structure with the right-handed variants of sliding and
 transport, cycling and decycling, the membership tests for the invariant
 subsets of a class, simples from words and back by rescanning, and
-non-crossing partitions by filtering all set partitions."""
+non-crossing partitions by filtering all set partitions, and the minimal
+summit conjugators rho_a with every fixpoint run to its end."""
 
 from garside.bkl import is_noncrossing
 from garside.circuits import BudgetExceeded, Budgets, compute_scg, solve_csp
@@ -471,6 +472,36 @@ def minimal_sss_conjugator(x: GarsideElement, max_norm: int = MAX_NORM) -> Garsi
         return y.inf == inf_s and y.canonical_length == ell_s
 
     return minimal_conjugator(x, member, max_norm)
+
+
+def summit_conjugators(y: GarsideElement) -> tuple:
+    """(rho, minimal) for a summit element y: rho maps the order mask of
+    each atom a to rho_a(y), each by iterating its own fixpoint from c = a
+    to the end, and minimal lists the distinct <=-minimal rho_a(y) in atom
+    order of first appearance.
+
+    rho_a(y) is the least fixpoint of
+    c <- c v (y_1...y_r \\ tau^p(c)) v (the same term for y^-1), with
+    y = Delta^p y_1...y_r and u \\ t = u^-1 (u v t) taken factor by factor.
+    """
+    st = y.structure
+    y_inv = inverse(y)
+    rho = {}
+    for a in st.atoms:
+        c, nxt = None, a
+        while nxt != c:
+            c = nxt
+            for z in (y, y_inv):
+                t = st.tau_pow(c, z.p)
+                for f in z.factors:
+                    t = st.lquot(f, st.join_simple(f, t))
+                nxt = st.join_simple(nxt, t)
+        rho[st.order_mask(a)] = c
+    minimal = []
+    for c in rho.values():
+        if c not in minimal and not any(d != c and st.leq(d, c) for d in rho.values()):
+            minimal.append(c)
+    return rho, minimal
 
 
 def solve_cdp(x: GarsideElement, y: GarsideElement) -> bool:

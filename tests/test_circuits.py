@@ -62,6 +62,7 @@ from oracles import (
     slide_witness,
     sliding_circuit_set,
     solve_cdp,
+    summit_conjugators,
 )
 
 
@@ -134,11 +135,12 @@ def test_sss_matches_scan_on_random_words():
 
 
 def test_summit_conjugators_are_least_above_each_atom(rng):
-    """`_summit_bounds(y)` maps each atom a, by its order mask, to rho_a(y),
-    the meet of every simple above a that keeps y in its super summit set,
-    and lists the distinct <=-minimal rho_a(y) in atom order of first
-    appearance.  The samples include vertices with several minimal rho and
-    with atoms that share one."""
+    """The full fixpoints of `oracles.summit_conjugators(y)` map each atom
+    a, by its order mask, to rho_a(y), the meet of every simple above a
+    that keeps y in its super summit set, and both the oracle and
+    `_summit_bounds(y)` list the distinct <=-minimal rho_a(y) in atom order
+    of first appearance.  The samples include vertices with several
+    minimal rho and with atoms that share one."""
     shapes = set()
     for st in [artin_structure(4), bkl_structure(4)]:
         for _ in range(6):
@@ -159,12 +161,58 @@ def test_summit_conjugators_are_least_above_each_atom(rng):
                 if c not in minimal and not any(
                         d != c and st.leq(d, c) for d in least.values()):
                     minimal.append(c)
-            low, rhos = _summit_bounds(y)
-            assert low == {st.order_mask(a): least[a] for a in st.atoms}
-            assert rhos == minimal
+            rho, oracle_minimal = summit_conjugators(y)
+            assert rho == {st.order_mask(a): least[a] for a in st.atoms}
+            assert oracle_minimal == minimal
+            assert _summit_bounds(y)[1] == minimal
             shared = sum(c in minimal for c in least.values()) > len(minimal)
             shapes.add((len(minimal) > 1, shared))
     assert shapes >= {(True, True), (True, False)}
+
+
+def test_summit_bounds_match_full_fixpoints():
+    """`_summit_bounds` against the full fixpoints of the oracle, at one
+    element of every tau-orbit of the n = 4, 5 statistics rows with
+    i = 0, 1, 2 in both structures, and at fixed-seed random summit elements
+    of classical and dual B_4..B_6: circuit elements and their conjugates by
+    the minimal rho.  The minimal rho agree, in the same order; each atom
+    with a minimal rho_a has it exactly; every other atom a has a bound with
+    a <= low[a] <= rho_a; the atoms whose bound is a minimal rho are exactly
+    those whose rho_a is minimal.  Some fixpoints stop early."""
+    elements = []
+    for st in [artin_structure(4), artin_structure(5), bkl_structure(4), bkl_structure(5)]:
+        for i in (0, 1, 2):
+            seen = set()
+            for s in st.simples():
+                if st.is_trivial(s) or st.is_delta(s):
+                    continue
+                y = multiply(delta_power(st, i), from_simple(st, s))
+                if y not in seen:
+                    seen.update(_tau_orbit(y))
+                    elements.append(y)
+    rng = random.Random(20261019)
+    for n in (4, 5, 6):
+        for st in [artin_structure(n), bkl_structure(n)]:
+            for _ in range(20):
+                y = slide_to_circuit(random_element(st, rng, length=3 * n))[0]
+                elements.append(y)
+                elements += [conjugate_simple(y, c) for c in summit_conjugators(y)[1]]
+    stopped = 0
+    for y in elements:
+        st = y.structure
+        rho, minimal = summit_conjugators(y)
+        low, rhos = _summit_bounds(y)
+        assert rhos == minimal
+        assert low.keys() == rho.keys()
+        for a in st.atoms:
+            m = st.order_mask(a)
+            if rho[m] in minimal:
+                assert low[m] == rho[m]
+            else:
+                assert st.leq(a, low[m]) and st.leq(low[m], rho[m])
+                assert low[m] not in rhos
+            stopped += low[m] != rho[m]
+    assert len(elements) >= 600 and stopped >= 30
 
 
 def test_summit_conjugate_leaving_the_set_is_a_program_fault(monkeypatch):
@@ -850,9 +898,11 @@ def tau_orbits(elements):
 
 
 def test_summit_conjugators_and_arrows_move_with_tau():
-    """rho_tau(a)(tau(y)) = tau(rho_a(y)) for every atom, and the arrows at
-    tau(y) are the sorted tau-images of the arrows at y, on every sliding
-    circuit y of each class, with tau(y) = y^Delta computed by conjugation."""
+    """rho_tau(a)(tau(y)) = tau(rho_a(y)) for every atom, by the full
+    fixpoints of the oracle, the minimal rho of `_summit_bounds` at tau(y)
+    are the tau-images of those at y, and the arrows at tau(y) are the
+    sorted tau-images of the arrows at y, on every sliding circuit y of each
+    class, with tau(y) = y^Delta computed by conjugation."""
     orbit_sizes = set()
     for x in symmetric_classes():
         st = x.structure
@@ -862,10 +912,11 @@ def test_summit_conjugators_and_arrows_move_with_tau():
         for y in sliding_circuit_set(x):
             ty = conjugate(y, delta)
             orbit_sizes.add(len(_tau_orbit(y)))
-            low, ty_low = _summit_bounds(y)[0], _summit_bounds(ty)[0]
+            rho, ty_rho = summit_conjugators(y)[0], summit_conjugators(ty)[0]
             for a in st.atoms:
-                assert ty_low[st.order_mask(st.tau(a))] == \
-                    st.tau(low[st.order_mask(a)])
+                assert ty_rho[st.order_mask(st.tau(a))] == \
+                    st.tau(rho[st.order_mask(a)])
+            assert set(_summit_bounds(ty)[1]) == {st.tau(c) for c in _summit_bounds(y)[1]}
             assert [c for c, _ in indecomposable_conjugators(ty, member)] == \
                 sorted(st.tau(c) for c, _ in indecomposable_conjugators(y, member))
     assert orbit_sizes >= {2, 4, 6}

@@ -50,7 +50,29 @@ def test_table_n6_work_counts(monkeypatch, capsys):
     assert main(["--n", "6", "--format", "csv", "table", "--inf", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == (
         "artin,6,0,89,38,22,15,8.06742,4.40449,2.14131,16.2646,6.38162,3.78721")
-    assert counts == {"sss_conjugations": 917, "membership_steps": 503, "join_passes": 3105}
+    assert counts == {"sss_conjugations": 917, "membership_steps": 503, "join_passes": 2503}
+
+
+def test_table_bkl_n6_work_counts(monkeypatch, capsys):
+    """`--structure bkl --n 6 table --inf 0`: the joins and left quotients
+    of dual simples, most of them in the rho_a fixpoints."""
+    counts = dict.fromkeys(("joins", "quotients"), 0)
+    join_simple, lquot = BKLStructure.join_simple, BKLStructure.lquot
+
+    def join(self, a, b):
+        counts["joins"] += 1
+        return join_simple(self, a, b)
+
+    def quotient(self, s, b):
+        counts["quotients"] += 1
+        return lquot(self, s, b)
+
+    monkeypatch.setattr(BKLStructure, "join_simple", join)
+    monkeypatch.setattr(BKLStructure, "lquot", quotient)
+    assert main(["--structure", "bkl", "--n", "6", "--format", "csv", "table", "--inf", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "bkl,6,0,9,30,30,1,14.4444,14.4444,1,21.2,21.2,1")
+    assert counts == {"joins": 1572, "quotients": 954}
 
 
 def _workloads(monkeypatch):
@@ -154,7 +176,7 @@ def test_arrow_search_work_counts_on_the_conj_corpus(monkeypatch, capsys):
         got[structure] = _arrow_search_counts(monkeypatch, capsys, [
             ["--structure", structure, "--n", str(n), " ".join(w)]
             for w in workloads.conj_corpus(structure, n, length)])
-    assert got == {"artin": (189, 1931), "bkl": (137, 396)}
+    assert got == {"artin": (189, 1931), "bkl": (137, 402)}
 
 
 def test_conj_twist_counts(monkeypatch, capsys):
