@@ -82,6 +82,7 @@ class GarsideStructure:
         self._norm_cache: dict = {}
         self._order_mask_cache: dict = {}
         self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
+        self._token_cache: dict = {}  # sigma or band token -> letters, filled by words.parse_word
         self._atom_index: dict | None = None  # atom -> its index in atoms, built on first use
         self._commute_cache: dict = {}  # i * len(atoms) + j -> atoms i and j commute
 

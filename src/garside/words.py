@@ -37,13 +37,27 @@ _SIGMA = re.compile(r"^s(\d+)(\^-1)?$")
 _DELTA = re.compile(r"^D(?:\^(-?\d+))?$")
 _BAND = re.compile(r"^a\((\d+),(\d+)\)(\^-1)?$")
 _PERM = re.compile(r"^\[\d+(?:,\d+)*\]$")
+# the canonical sigma and band spellings, the ones the token table holds:
+# s<k> and a(<t>,<s>) with t > s, no leading zeros, each also with ^-1, so
+# (n-1)(n+2) of them on n strands.  Compiled on the first miss, not at import
+_CANONICAL = r"s[1-9][0-9]*(?:\^-1)?|a\(([1-9][0-9]*),([1-9][0-9]*)\)(?:\^-1)?"
 
 
 def parse_word(st: GarsideStructure, text: str) -> GarsideElement:
-    """Parse a word in the grammar above into a normal-form element."""
+    """Parse a word in the grammar above into a normal-form element.  The
+    letters of each canonical sigma or band token are read from a table on
+    the structure, filled the first time the token parses."""
+    table = st._token_cache
     letters: list = []
     for idx, tok in enumerate(text.split(), start=1):
-        letters.extend(_parse_token(st, tok, idx))
+        word = table.get(tok)
+        if word is None:
+            word = _parse_token(st, tok, idx)
+            # D, 1 and permutation literals skip the pattern
+            m = tok[0] in "sa" and re.fullmatch(_CANONICAL, tok)
+            if m and (m.group(1) is None or int(m.group(1)) > int(m.group(2))):
+                table[tok] = word
+        letters.extend(word)
     return left_normal_form(st, letters)
 
 

@@ -6,7 +6,11 @@ reverse structure with the right-handed variants of sliding and
 transport, cycling and decycling, the membership tests for the invariant
 subsets of a class, simples from words and back by rescanning, and
 non-crossing partitions by filtering all set partitions, and the minimal
-summit conjugators rho_a with every fixpoint run to its end."""
+summit conjugators rho_a with every fixpoint run to its end, and the
+argparse tree the CLI's table-driven argv reader replaced."""
+
+import argparse
+import functools
 
 from garside.bkl import is_noncrossing
 from garside.circuits import BudgetExceeded, Budgets, compute_scg, solve_csp
@@ -507,3 +511,90 @@ def summit_conjugators(y: GarsideElement) -> tuple:
 def solve_cdp(x: GarsideElement, y: GarsideElement) -> bool:
     """Conjugacy decision: do x and y lie in the same conjugacy class?"""
     return solve_csp(x, y) is not None
+
+
+# -- the CLI's argv by argparse ------------------------------------------------
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was.  Global
+    # flags live in a parent parser so they are accepted both before
+    # and after the subcommand; SUPPRESS keeps the subparser occurrence from
+    # clobbering an earlier one with a default
+    common = argparse.ArgumentParser(add_help=False)
+    g = common.add_argument_group("common options")
+    g.add_argument("--structure", choices=["artin", "bkl"],
+                   default=argparse.SUPPRESS,
+                   help="Garside structure on B_n (default: artin)")
+    g.add_argument("--n", type=int, default=argparse.SUPPRESS,
+                   help="number of strands (default: 4)")
+    g.add_argument("--format", choices=["text", "json", "csv"],
+                   default=argparse.SUPPRESS)
+    g.add_argument("--max-vertices", type=int, default=argparse.SUPPRESS)
+    g.add_argument("--max-set-size", type=int, default=argparse.SUPPRESS)
+    g.add_argument("--max-trajectory", type=int, default=argparse.SUPPRESS)
+
+    parser = argparse.ArgumentParser(
+        prog="garside",
+        description="Braid and Garside group conjugacy via cyclic sliding.",
+        parents=[common],
+    )
+
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("nf", parents=[common], help="left normal form of a word")
+    p.add_argument("word")
+
+    p = sub.add_parser("slide", parents=[common], help="iterated cyclic sliding")
+    p.add_argument("word")
+    p.add_argument("-k", type=int, default=1,
+                   help="number of slidings (at most --max-trajectory)")
+
+    p = sub.add_parser("traj", parents=[common],
+                       help="full sliding trajectory with prefixes")
+    p.add_argument("word")
+
+    p = sub.add_parser("sc", parents=[common],
+                       help="set of sliding circuits of the class")
+    p.add_argument("word")
+
+    p = sub.add_parser("scg", parents=[common],
+                       help="sliding circuits graph: vertices and arrows")
+    p.add_argument("word")
+
+    p = sub.add_parser("conj", parents=[common],
+                       help="decide conjugacy; print a verified witness")
+    p.add_argument("word1")
+    p.add_argument("word2")
+
+    p = sub.add_parser("table", parents=[common],
+                       help="length-1 class statistics row")
+    p.add_argument("--inf", type=int, default=0, help="summit infimum i")
+
+    p = sub.add_parser("rigid", parents=[common],
+                       help="rigidity verdict and prefix products")
+    p.add_argument("word")
+    p.add_argument("-k", type=int, default=10,
+                   help="longest prefix product shown (at most --max-trajectory)")
+
+    return parser
+
+
+# filled in after parsing; argparse.set_defaults would mutate the shared
+# parent-parser actions and clobber flags given before the subcommand
+_DEFAULTS = {
+    "structure": "artin", "n": 4, "format": "text",
+    "max_vertices": Budgets.max_vertices,
+    "max_set_size": Budgets.max_set_size,
+    "max_trajectory": Budgets.max_trajectory_states,
+}
+
+
+def argparse_args(argv) -> argparse.Namespace:
+    """What the argparse tree read from argv, defaults filled in; a usage
+    error raises SystemExit(2) and -h SystemExit(0)."""
+    args = _build_parser().parse_args(argv)
+    for key, value in _DEFAULTS.items():
+        if not hasattr(args, key):
+            setattr(args, key, value)
+    return args

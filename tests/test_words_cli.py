@@ -1,14 +1,20 @@
 """Word grammar and the command-line frontend."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import garside
+from garside import words
 from garside.artin import ArtinStructure, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
-from garside.cli import _build_parser, main
+from garside.cli import _parse_args, main
 from garside.core import (
     conjugate,
     delta_power,
@@ -21,6 +27,7 @@ from garside.core import (
 from garside.sliding import sliding_trajectory
 from garside.words import (
     WordError,
+    _parse_token,
     _render_word,
     element_to_json,
     parse_word,
@@ -29,7 +36,8 @@ from garside.words import (
 )
 
 from conftest import random_element
-from oracles import cyclic_sliding, word_to_simple
+from golden.make_corpus import CORPUS
+from oracles import argparse_args, cyclic_sliding, word_to_simple
 
 
 def el(st, ks):
@@ -129,6 +137,50 @@ def test_parse_error_messages_are_unchanged():
             assert str(exc.value) == message.format(suffix)
 
 
+def canonical_tokens(n: int) -> list:
+    """The (n-1)(n+2) spellings the token table may hold on n strands."""
+    letters = [f"s{k}" for k in range(1, n)]
+    letters += [f"a({t},{s})" for t in range(2, n + 1) for s in range(1, t)]
+    return [t + e for t in letters for e in ("", "^-1")]
+
+
+def test_token_table_reads_what_parse_token_reads(monkeypatch):
+    """Each token read through the table gives the letters _parse_token
+    gives it, on fresh structures, for canonical and other spellings."""
+    monkeypatch.setattr(words, "left_normal_form", lambda st, letters: letters)
+    rng = random.Random(20261028)
+    for n in range(3, 9):
+        for st in (ArtinStructure(n), BKLStructure(n)):
+            canonical = canonical_tokens(n)
+            others = ["1", "D", "D^-2", "D^3", "s01", "s001^-1", "a(1,3)", "a(03,1)^-1",
+                      f"a(2,{n})^-1"]
+            if isinstance(st, ArtinStructure):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                others.append("[" + ",".join(map(str, perm)) + "]")
+            for _ in range(60):
+                tokens = [rng.choice(canonical if rng.random() < 0.8 else others)
+                          for _ in range(rng.randint(0, 24))]
+                expected = [letter for idx, tok in enumerate(tokens, start=1)
+                            for letter in _parse_token(st, tok, idx)]
+                assert parse_word(st, " ".join(tokens)) == expected, tokens
+                assert len(st._token_cache) <= (n - 1) * (n + 2)
+            assert set(st._token_cache) <= set(canonical)
+            parse_word(st, " ".join(canonical + others))
+            assert sorted(st._token_cache) == sorted(canonical)
+
+
+def test_token_table_keeps_error_positions():
+    for st, bad, message in (
+            (ArtinStructure(4), "s9^-1", "token 4: sigma index 9 out of range"),
+            (BKLStructure(4), "a(9,1)", "token 4: band indices (9,1) out of range for bkl-4")):
+        parse_word(st, "s1 s2 s1")
+        with pytest.raises(WordError) as exc:
+            parse_word(st, f"s1 s2 s1 {bad} s2")
+        assert str(exc.value) == message
+        assert sorted(st._token_cache) == ["s1", "s2"]
+
+
 def test_render_round_trip(rng):
     for st in [artin_structure(4), artin_structure(5), bkl_structure(5)]:
         for _ in range(40):
@@ -215,7 +267,7 @@ def test_cli_global_flags_before_or_after_subcommand(capsys):
 
 
 def test_cli_main_keeps_no_flags_between_calls(capsys):
-    # the parser is built once per process and reused by every main() call
+    # flags given to one main() call must not leak into the next
     plain = run_cli(capsys, ["nf", "s1 s2"])
     before = run_cli(capsys, ["--structure", "bkl", "--n", "5", "--format",
                               "json", "nf", "s1 s2"])
@@ -224,7 +276,103 @@ def test_cli_main_keeps_no_flags_between_calls(capsys):
     assert before == after and before[0] == 0 and before != plain
     assert run_cli(capsys, ["nf", "s1 s2"]) == plain
     assert plain == (0, "s1 s2\n", "")
-    assert _build_parser() is _build_parser()
+
+
+ARGV_EDGE_CASES = [
+    ["--n", "5", "nf", "--structure", "bkl", "s1"],
+    ["--n", "3", "nf", "s1", "--n", "5", "--n", "6"],
+    ["--n=5", "nf", "s1"],
+    ["nf", "--format=json", "s1"],
+    ["slide", "-k3", "s1"],
+    ["rigid", "s1", "-k=2"],
+    ["--struct", "bkl", "nf", "s1"],
+    ["nf", "--struct=bkl", "s1"],
+    ["--max", "5", "nf", "s1"],
+    ["nf", "--max=5", "s1"],
+    ["table", "--i", "1"],
+    ["slide", "-k", "-1", "s1"],
+    ["--max-set-size", "-1", "nf", "s1"],
+    ["table", "--inf", "-2"],
+    ["nf", "--", "s1 s2"],
+    ["slide", "-k", "2", "--", "s1"],
+    ["conj", "--", "s1", "s2"],
+    ["nf", "--", "-1"],
+    ["nf", "-1 s2"],
+    ["--", "nf", "s1"],
+    ["table", "--"],
+    ["frobnicate", "s1"],
+    ["--seed", "1", "nf", "s1"],
+    ["nf", "--seed", "1", "s1"],
+    ["--structure", "garside", "nf", "s1"],
+    ["--n", "five", "nf", "s1"],
+    ["slide", "-k", "1e3", "s1"],
+    ["nf", "s1", "--n"],
+    ["--n", "--format", "json", "nf", "s1"],
+    ["nf"],
+    ["conj", "s1"],
+    ["nf", "s1", "s2"],
+    ["table", "s1"],
+    [],
+    ["nf", "-k", "3", "s1"],
+    ["-k", "3", "slide", "s1"],
+    ["slide", "s1", "--inf", "1"],
+]
+
+
+def read_argv(parse, argv):
+    """The attributes parse reads from argv, or the code it exits with."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_argv_reader_matches_argparse(capsys):
+    """The table-driven reader gives the attributes the argparse tree gave,
+    or exits 2 where it did, on every corpus invocation and edge case."""
+    corpus = [entry["argv"] for entry in json.loads(CORPUS.read_text())]
+    for argv in corpus + ARGV_EDGE_CASES:
+        assert read_argv(_parse_args, argv) == read_argv(argparse_args, argv), argv
+    assert read_argv(_parse_args, ["--n=5", "slide", "-k3", "--struct", "bkl", "s1"]) == {
+        "command": "slide", "word": "s1", "k": 3, "structure": "bkl", "n": 5,
+        "format": "text", "max_vertices": 100000, "max_set_size": 10**6,
+        "max_trajectory": 10**6}
+    assert read_argv(_parse_args, ["--max", "5", "nf", "s1"]) == 2
+
+
+def test_argv_reader_matches_argparse_on_random_argv(capsys):
+    pool = ["nf", "slide", "conj", "table", "rigid", "--n", "5", "-1", "-2.5", "--structure",
+            "bkl", "--struct", "--max", "--max-v", "--max-vertices=3", "--inf", "--i", "-k",
+            "-k3", "-k=2", "--", "s1 s2", "s1", "-x", "--format=json", "--n=4", "--seed", "",
+            "-", "-h", "--help", "--he", "-1 s2", "-k 3", "--s=artin", "---"]
+    rng = random.Random(20261029)
+    for _ in range(3000):
+        argv = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        assert read_argv(_parse_args, argv) == read_argv(argparse_args, argv), argv
+
+
+def test_cli_help_lists_every_command(capsys):
+    for argv in (["-h"], ["--help"], ["--n", "5", "--he"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: garside")
+        for command in ("nf", "slide", "traj", "sc", "scg", "conj", "table", "rigid"):
+            assert f"\n  {command} " in out, command
+    with pytest.raises(SystemExit) as exc:
+        main(["rigid", "-h"])
+    assert exc.value.code == 0
+    assert "  -k N " in capsys.readouterr().out
+
+
+def test_cli_usage_errors_exit_2_with_usage_on_stderr(capsys):
+    for argv in (["--n", "x", "nf", "s1"], ["frobnicate"], ["nf"], ["nf", "-k", "3", "s1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: garside") and "error: " in err, argv
 
 
 def test_cli_slide(capsys):
@@ -503,6 +651,47 @@ def test_cli_unexpected_error_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.count("\n") == 1 and "internal error: KeyError" in err
+
+
+def test_cli_closed_stdout_keeps_the_exit_code(capsys, monkeypatch):
+    """A reader that leaves (`garside ... | head`) is no program fault: the
+    answer's exit code stands, stderr stays empty, and stdout is pointed at
+    devnull so the flush at interpreter exit cannot fail."""
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return write_end
+
+    try:
+        for argv, code in ((["conj", "s1 s2", "s2 s1"], 0), (["conj", "s1", "s1 s1"], 1)):
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == code
+            monkeypatch.undo()
+            assert capsys.readouterr() == ("", "")
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_cli_pipe_closed_by_the_reader_exits_0():
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "garside.cli", "--n", "5", "rigid", "s1 s2^-1 s3 s4 s2",
+         "-k", "300"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the output is about 450 kB, more than a pipe holds
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_cli_seed_flag_is_gone(capsys):
