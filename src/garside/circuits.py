@@ -68,7 +68,7 @@ twisted targets, and membership in SC is tested once per orbit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import (
     BudgetExceeded,
@@ -269,16 +269,16 @@ def indecomposable_conjugators(
     return sorted((c, found[c]) for c in _minimal(st, found))
 
 
-@dataclass
 class SlidingCircuitsGraph:
     """Vertices are the sliding-circuit conjugates of an element, sorted by
     `GarsideElement.sort_key`; arrows the indecomposable simple conjugators
     between them.  `parent` maps the vertices, in the order found, to the
     (y, s) of the arrow that first reached them, the representative to None."""
 
-    vertices: list = field(default_factory=list)
-    arrows: list = field(default_factory=list)  # (source, conjugator, target)
-    parent: dict = field(default_factory=dict)
+    def __init__(self, parent: dict) -> None:
+        self.vertices: list = []
+        self.arrows: list = []  # (source, conjugator, target)
+        self.parent = parent
 
     def conjugator_to(self, v: GarsideElement) -> GarsideElement:
         """The product of the parent chain: a conjugator from the representative to v."""
@@ -326,7 +326,7 @@ def compute_scg(
         rep = slide_to_circuit(x, budgets.max_trajectory_states)[0]
     st = x.structure
     member = _SCMembership(rep.inf, rep.canonical_length, budgets)
-    graph = SlidingCircuitsGraph(parent={rep: None})
+    graph = SlidingCircuitsGraph({rep: None})
     parent = graph.parent
     # sort keys are unique per element, so the heap never compares elements
     frontier = [(rep.sort_key(), rep)]
@@ -354,15 +354,7 @@ def compute_scg(
     return graph
 
 
-@dataclass(frozen=True)
-class ConjugatorWitness:
-    source: GarsideElement
-    target: GarsideElement
-    conjugator: GarsideElement
-
-    def __post_init__(self) -> None:
-        if conjugate(self.source, self.conjugator) != self.target:
-            raise VerificationError("witness does not conjugate source to target")
+ConjugatorWitness = namedtuple("ConjugatorWitness", "source target conjugator")
 
 
 def _class_invariants(x: GarsideElement) -> tuple:
@@ -413,8 +405,9 @@ def solve_csp(
     that slides x to its circuit and g = `conjugator_to(hit)`, times the
     power Delta^(m e) that makes |inf(c)| least, the non-negative one of
     two.  Delta^e, e the order of tau, is central, so every such shift
-    conjugates x to y.  None from the walk needs the whole graph under the
-    vertex budget.
+    conjugates x to y, and x^c = y is checked before the witness is
+    returned (VerificationError if not).  None from the walk needs the
+    whole graph under the vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
@@ -440,7 +433,10 @@ def solve_csp(
     p = c.p % e
     if 2 * p > e:
         p -= e
-    return ConjugatorWitness(x, y, multiply(c, delta_power(x.structure, p - c.p)))
+    c = multiply(c, delta_power(x.structure, p - c.p))
+    if conjugate(x, c) != y:
+        raise VerificationError("witness does not conjugate source to target")
+    return ConjugatorWitness(x, y, c)
 
 
 def compute_sss(

@@ -45,9 +45,9 @@ _FLAGS = {
     "--structure": ("structure", ("artin", "bkl"), "artin", "Garside structure on B_n"),
     "--n": ("n", int, 4, "number of strands"),
     "--format": ("format", ("text", "json", "csv"), "text", "output format"),
-    "--max-vertices": ("max_vertices", int, Budgets.max_vertices, "graph vertices"),
-    "--max-set-size": ("max_set_size", int, Budgets.max_set_size, "elements of an enumerated set"),
-    "--max-trajectory": ("max_trajectory", int, Budgets.max_trajectory_states,
+    "--max-vertices": ("max_vertices", int, Budgets().max_vertices, "graph vertices"),
+    "--max-set-size": ("max_set_size", int, Budgets().max_set_size, "elements of an enumerated set"),
+    "--max-trajectory": ("max_trajectory", int, Budgets().max_trajectory_states,
                          "states of a sliding trajectory"),
 }
 
@@ -363,8 +363,12 @@ def _dispatch(args) -> tuple:
         traj = sliding_trajectory(x, budgets.max_trajectory_states)
         chain = traj.prefix_products(k, budgets.max_set_size)
         if args.format == "json":
-            return EXIT_OK, [json.dumps({"rigid": verdict,
-                                         "prefix_products": [element_to_json(c) for c in chain]}) + "\n"]
+            # the array is written one product at a time, with json.dumps's
+            # separators, so no JSON form of the whole chain is ever held
+            return EXIT_OK, itertools.chain(
+                [f'{{"rigid": {json.dumps(verdict)}, "prefix_products": ['],
+                ((", " if i else "") + json.dumps(element_to_json(c)) for i, c in enumerate(chain)),
+                ["]}\n"])
         return EXIT_OK, itertools.chain(
             ["rigid\n" if verdict else "not rigid\n"],
             (f"P_{i}: {render_element(c)}\n" for i, c in enumerate(chain)))

@@ -18,8 +18,8 @@ right-to-left wave of local slidings.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 
 class VerificationError(RuntimeError):
@@ -39,15 +39,13 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(namedtuple("Budgets", "max_vertices max_set_size max_trajectory_states",
+                         defaults=(100_000, 1_000_000, 10**6))):
     """Caps for the enumerative algorithms and for sliding trajectories;
-    exhaustion raises BudgetExceeded.  The class defaults are the defaults
-    of the library functions and of the CLI flags."""
+    exhaustion raises BudgetExceeded.  The fields of ``Budgets()`` are the
+    defaults of the library functions and of the CLI flags."""
 
-    max_vertices: int = 100_000
-    max_set_size: int = 1_000_000
-    max_trajectory_states: int = 10**6
+    __slots__ = ()
 
 
 class GarsideStructure:
@@ -215,17 +213,28 @@ class GarsideStructure:
         return s
 
 
-@dataclass(frozen=True)
 class GarsideElement:
     """A group element in left normal form Delta^p x_1 ... x_r.
 
-    Immutable; equality and hashing go through the normal form, which is
-    unique, so these coincide with equality of group elements.
+    Never changed once built; equality and hashing go through the normal
+    form (p, factors), which is unique, so these coincide with equality of
+    group elements.  The structure takes no part in them.
     """
 
-    structure: GarsideStructure = field(compare=False, hash=False)
-    p: int
-    factors: tuple
+    __slots__ = ("structure", "p", "factors")
+
+    def __init__(self, structure: GarsideStructure, p: int, factors: tuple) -> None:
+        self.structure = structure
+        self.p = p
+        self.factors = factors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.factors))
 
     @property
     def inf(self) -> int:

@@ -15,13 +15,12 @@ summit set, so it is read off the latter by the membership test.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
 from .circuits import compute_sss, sliding_circuits_in_sss
 from .core import (
     BudgetExceeded,
     Budgets,
-    GarsideElement,
     GarsideStructure,
     delta_power,
     from_simple,
@@ -30,36 +29,19 @@ from .core import (
 from .sliding import slide_to_circuit
 
 
-@dataclass(frozen=True)
-class ClassStatistics:
+class ClassStatistics(namedtuple("ClassStatistics", "representative sss_size sc_size")):
     """One conjugacy class: its canonical representative and set sizes."""
 
-    representative: GarsideElement
-    sss_size: int
-    sc_size: int
+    __slots__ = ()
 
     @property
     def ratio(self) -> float:
         return self.sss_size / self.sc_size
 
 
-@dataclass(frozen=True)
-class StatisticsRow:
-    """One table row: aggregate statistics over all classes of one (n, i)."""
-
-    structure: str
-    n: int
-    i: int
-    classes: int
-    max_sss: int
-    max_sc: int
-    max_ratio: float
-    cmean_sss: float
-    cmean_sc: float
-    cmean_ratio: float
-    emean_sss: float
-    emean_sc: float
-    emean_ratio: float
+# One table row: aggregate statistics over all classes of one (n, i).
+StatisticsRow = namedtuple("StatisticsRow", "structure n i classes max_sss max_sc max_ratio "
+                           "cmean_sss cmean_sc cmean_ratio emean_sss emean_sc emean_ratio")
 
 
 def enumerate_length_one_classes(
@@ -116,8 +98,7 @@ def statistics_row(
     )
 
 
-COLUMNS = tuple(f.name for f in fields(StatisticsRow))
-CSV_HEADER = ",".join(COLUMNS)
+CSV_HEADER = ",".join(StatisticsRow._fields)
 
 
 def _fmt(v) -> str:
@@ -127,7 +108,7 @@ def _fmt(v) -> str:
 
 
 def row_to_csv(row: StatisticsRow) -> str:
-    return ",".join(_fmt(getattr(row, c)) for c in COLUMNS)
+    return ",".join(map(_fmt, row))
 
 
 def emit_csv(rows: list) -> str:
@@ -136,6 +117,6 @@ def emit_csv(rows: list) -> str:
 
 def emit_json(rows: list) -> str:
     """Rows as JSON objects, floats rounded as in the CSV."""
-    out = [{c: float(_fmt(v)) if isinstance(v, float) else v for c, v in asdict(r).items()}
+    out = [{c: float(_fmt(v)) if isinstance(v, float) else v for c, v in r._asdict().items()}
            for r in rows]
     return json.dumps(out, indent=2) + "\n"

@@ -10,13 +10,13 @@ for any i.  Only left normal forms and left sliding are used; cycling,
 decycling, right sliding and transport are test oracles.
 
 A trajectory may hold at most a given number of states, by default
-``Budgets.max_trajectory_states``; past it, :class:`BudgetExceeded` is
+``Budgets().max_trajectory_states``; past it, :class:`BudgetExceeded` is
 raised, the one error of every budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     BudgetExceeded,
@@ -55,8 +55,8 @@ def preferred_prefix(x: GarsideElement):
     return st.meet_simple(initial_factor(x), st.complement(final_factor(x)))
 
 
-@dataclass(frozen=True)
-class SlidingTrajectory:
+class SlidingTrajectory(namedtuple("SlidingTrajectory",
+                                   "start states prefixes entry_index period")):
     """The orbit of iterated cyclic sliding from a starting element.
 
     states[i] = s^i(start); prefixes[i] is the preferred prefix conjugating
@@ -64,11 +64,7 @@ class SlidingTrajectory:
     with entry_index minimal and then period minimal.
     """
 
-    start: GarsideElement
-    states: tuple
-    prefixes: tuple
-    entry_index: int
-    period: int
+    __slots__ = ()
 
     def _index(self, i: int) -> int:
         """Where s^i(start) and its preferred prefix sit in states and
@@ -86,7 +82,7 @@ class SlidingTrajectory:
         return left_normal_form(self.start.structure,
                                 [(self.prefixes[self._index(j)], 1) for j in range(i)])
 
-    def prefix_products(self, k: int, max_factors: int = Budgets.max_set_size) -> list:
+    def prefix_products(self, k: int, max_factors: int = Budgets().max_set_size) -> list:
         """[P_0(start), ..., P_k(start)], each the one before times one
         prefix; BudgetExceeded past max_factors factors in all."""
         st = self.start.structure
@@ -123,7 +119,7 @@ def _slide_until(x: GarsideElement, known, max_states: int):
 
 
 def sliding_trajectory(
-    x: GarsideElement, max_states: int = Budgets.max_trajectory_states
+    x: GarsideElement, max_states: int = Budgets().max_trajectory_states
 ) -> SlidingTrajectory:
     """Iterate cyclic sliding from x until a state repeats.
 
@@ -135,7 +131,7 @@ def sliding_trajectory(
     return SlidingTrajectory(x, tuple(index), tuple(prefixes), entry, len(index) - entry)
 
 
-def slide_to_circuit(x: GarsideElement, max_states: int = Budgets.max_trajectory_states):
+def slide_to_circuit(x: GarsideElement, max_states: int = Budgets().max_trajectory_states):
     """Iterate sliding into the periodic part.
 
     Returns (representative, trajectory): the first recurrent state and the

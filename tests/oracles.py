@@ -584,9 +584,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # parent-parser actions and clobber flags given before the subcommand
 _DEFAULTS = {
     "structure": "artin", "n": 4, "format": "text",
-    "max_vertices": Budgets.max_vertices,
-    "max_set_size": Budgets.max_set_size,
-    "max_trajectory": Budgets.max_trajectory_states,
+    "max_vertices": Budgets().max_vertices,
+    "max_set_size": Budgets().max_set_size,
+    "max_trajectory": Budgets().max_trajectory_states,
 }
 
 

@@ -871,6 +871,11 @@ def test_budget_exhaustion_is_loud():
     assert len(compute_scg(x).vertices) == 2
     with pytest.raises(BudgetExceeded):
         minimal_sc_conjugator(el(st, [3, 2, 1]), max_norm=0)
+    # the library's default argument: a value that refuses assignment and
+    # hashes
+    with pytest.raises(AttributeError):
+        Budgets().max_vertices = 1
+    assert hash(Budgets()) == hash(Budgets(100_000, 10**6, 10**6))
 
 
 def symmetric_classes():

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from garside.artin import _compose, _invert, artin_structure
+from garside.artin import ArtinStructure, _compose, _invert, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
 from garside.core import (
     _cancel_commuting_pairs,
@@ -116,6 +116,15 @@ def test_normal_form_empty_word():
     st = artin_structure(4)
     x = left_normal_form(st, [])
     assert x.p == 0 and x.factors == ()
+
+
+def test_element_equality_and_hash_ignore_the_structure():
+    # an element is its normal form (p, factors); a second descriptor of
+    # the same group gives an equal element with the same hash
+    x, y = el(artin_structure(4), [1, 2]), el(ArtinStructure(4), [1, 2])
+    assert x.structure is not y.structure
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x != el(artin_structure(4), [2, 1]) and x != (x.p, x.factors)
 
 
 def test_normal_form_validity_random(rng):

@@ -1,11 +1,25 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import garside
+
+
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # start-up compiles every module a CLI call imports; argparse and
+    # dataclasses (which brings inspect) are not among them
+    script = ("import garside.cli, sys; "
+              "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_no_assert_statements():

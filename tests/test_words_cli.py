@@ -14,8 +14,10 @@ import garside
 from garside import words
 from garside.artin import ArtinStructure, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
-from garside.cli import _parse_args, main
+from garside.cli import _FLAGS, _parse_args, main
 from garside.core import (
+    Budgets,
+    VerificationError,
     conjugate,
     delta_power,
     from_simple,
@@ -338,6 +340,9 @@ def test_argv_reader_matches_argparse(capsys):
         "format": "text", "max_vertices": 100000, "max_set_size": 10**6,
         "max_trajectory": 10**6}
     assert read_argv(_parse_args, ["--max", "5", "nf", "s1"]) == 2
+    # the budget flags default to the library's budgets
+    assert tuple(Budgets()) == tuple(_FLAGS[f][2] for f in
+                                     ("--max-vertices", "--max-set-size", "--max-trajectory"))
 
 
 def test_argv_reader_matches_argparse_on_random_argv(capsys):
@@ -604,8 +609,8 @@ def test_cli_refuses_huge_n_before_building_the_structure(capsys, monkeypatch):
 
 def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
     """A composed conjugator with one atom too many is caught by the one
-    check of the answer."""
-    from garside.circuits import SlidingCircuitsGraph
+    check of the answer, in solve_csp itself."""
+    from garside.circuits import SlidingCircuitsGraph, solve_csp
 
     composed = SlidingCircuitsGraph.conjugator_to
 
@@ -618,6 +623,9 @@ def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal check failed" in err
+    st = artin_structure(4)
+    with pytest.raises(VerificationError, match="does not conjugate"):
+        solve_csp(parse_word(st, "s1 s2 s3"), parse_word(st, "s2 s1 s3"))
 
 
 def test_cli_sigma_index_out_of_range_is_input_error(capsys):
@@ -692,6 +700,29 @@ def test_cli_pipe_closed_by_the_reader_exits_0():
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+# the peak RSS of one child, the CLI call, read by a small parent: a child
+# started from the test process would take that process's peak as its start
+_PEAK_RSS = ("import resource, subprocess, sys; "
+             "subprocess.run([sys.executable, '-m', 'garside.cli'] + sys.argv[1:], "
+             "stdout=subprocess.DEVNULL, check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+def _peak_rss(argv) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_cli_json_rigid_costs_memory_like_the_text_form():
+    # the JSON array is written one prefix product at a time: holding it as
+    # Python lists took 2.6 times the text form's peak at -k 800
+    argv = ["--n", "5", "rigid", "s1 s2^-1 s3 s4 s2", "-k", "800"]
+    assert _peak_rss(["--format", "json"] + argv) < 1.25 * _peak_rss(argv)
 
 
 def test_cli_seed_flag_is_gone(capsys):
