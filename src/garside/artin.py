@@ -66,7 +66,6 @@ class ArtinStructure(GarsideStructure):
         self.norm_of_delta = n * (n - 1) // 2
         self.tau_order = 2
         self.atoms = tuple(self.atom(k) for k in range(1, n))
-        self._simples: tuple | None = None
         self._join_cache: dict = {}  # ma | mb -> join of non-comparable a, b
 
     def atom(self, k: int) -> tuple:
@@ -176,10 +175,8 @@ class ArtinStructure(GarsideStructure):
         return s
 
     def simples(self) -> tuple:
-        if self._simples is None:
-            # permutations of a sorted range come in lexicographic order
-            self._simples = tuple(permutations(range(1, self.n + 1)))
-        return self._simples
+        # permutations of a sorted range come in lexicographic order
+        return tuple(permutations(range(1, self.n + 1)))
 
     def simple_count(self) -> int:
         return factorial(self.n)

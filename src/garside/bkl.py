@@ -104,7 +104,6 @@ class BKLStructure(GarsideStructure):
             self.atom(t, s) for t in range(2, n + 1) for s in range(1, t)
         )
         self._delta_perm = tuple(range(2, n + 1)) + (1,)  # i -> i+1 cyclically
-        self._simples: tuple | None = None
         self._perm_cache: dict = {}
         self._perm_inv_cache: dict = {}
         self._from_perm_cache: dict = {}
@@ -255,21 +254,19 @@ class BKLStructure(GarsideStructure):
         blocks that are still open.  Position i may join any open block b,
         which closes the blocks above b (a later element of one would cross
         b), or start a new block on top."""
-        if self._simples is None:
-            n = self.n
-            out = []
+        n = self.n
+        out = []
 
-            def walk(labels: tuple, open_: tuple, blocks: int) -> None:
-                if len(labels) == n:
-                    out.append(labels)
-                    return
-                for k, b in enumerate(open_):
-                    walk(labels + (b,), open_[: k + 1], blocks)
-                walk(labels + (blocks,), open_ + (blocks,), blocks + 1)
+        def walk(labels: tuple, open_: tuple, blocks: int) -> None:
+            if len(labels) == n:
+                out.append(labels)
+                return
+            for k, b in enumerate(open_):
+                walk(labels + (b,), open_[: k + 1], blocks)
+            walk(labels + (blocks,), open_ + (blocks,), blocks + 1)
 
-            walk((), (), 0)
-            self._simples = tuple(out)
-        return self._simples
+        walk((), (), 0)
+        return tuple(out)
 
     def simple_count(self) -> int:
         # Catalan(n) non-crossing partitions

@@ -12,7 +12,6 @@ its exit code.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
 import sys
@@ -242,9 +241,14 @@ def _slidings(args) -> int:
     return args.k
 
 
+def _dumps(obj) -> str:
+    import json  # only the --format json paths load it
+    return json.dumps(obj)
+
+
 def _emit_element(x, args) -> str:
     if args.format == "json":
-        return json.dumps(element_to_json(x)) + "\n"
+        return _dumps(element_to_json(x)) + "\n"
     return render_element(x) + "\n"
 
 
@@ -302,7 +306,7 @@ def _dispatch(args) -> tuple:
         x = parse_word(st, args.word)
         traj = sliding_trajectory(x, budgets.max_trajectory_states)
         if args.format == "json":
-            return EXIT_OK, [json.dumps({
+            return EXIT_OK, [_dumps({
                 "states": [element_to_json(s) for s in traj.states],
                 "prefixes": [list(p) for p in traj.prefixes],
                 "entry_index": traj.entry_index,
@@ -317,7 +321,7 @@ def _dispatch(args) -> tuple:
         x = parse_word(st, args.word)
         vertices = compute_scg(x, budgets).vertices
         if args.format == "json":
-            return EXIT_OK, [json.dumps([element_to_json(v) for v in vertices]) + "\n"]
+            return EXIT_OK, [_dumps([element_to_json(v) for v in vertices]) + "\n"]
         return EXIT_OK, (render_element(v) + "\n" for v in vertices)
 
     if args.command == "scg":
@@ -325,7 +329,7 @@ def _dispatch(args) -> tuple:
         graph = compute_scg(x, budgets)
         index = {v: i for i, v in enumerate(graph.vertices)}
         if args.format == "json":
-            return EXIT_OK, [json.dumps({
+            return EXIT_OK, [_dumps({
                 "vertices": [element_to_json(v) for v in graph.vertices],
                 "arrows": [
                     {"source": index[a], "conjugator": list(c), "target": index[b]}
@@ -344,8 +348,8 @@ def _dispatch(args) -> tuple:
         if witness is None:
             return EXIT_NOT_CONJUGATE, ["NO\n"]
         if args.format == "json":
-            return EXIT_OK, [json.dumps({"conjugate": True,
-                                         "witness": element_to_json(witness.conjugator)}) + "\n"]
+            return EXIT_OK, [_dumps({"conjugate": True,
+                                     "witness": element_to_json(witness.conjugator)}) + "\n"]
         return EXIT_OK, [f"YES {render_element(witness.conjugator)}\n"]
 
     if args.command == "table":
@@ -366,8 +370,8 @@ def _dispatch(args) -> tuple:
             # the array is written one product at a time, with json.dumps's
             # separators, so no JSON form of the whole chain is ever held
             return EXIT_OK, itertools.chain(
-                [f'{{"rigid": {json.dumps(verdict)}, "prefix_products": ['],
-                ((", " if i else "") + json.dumps(element_to_json(c)) for i, c in enumerate(chain)),
+                [f'{{"rigid": {_dumps(verdict)}, "prefix_products": ['],
+                ((", " if i else "") + _dumps(element_to_json(c)) for i, c in enumerate(chain)),
                 ["]}\n"])
         return EXIT_OK, itertools.chain(
             ["rigid\n" if verdict else "not rigid\n"],

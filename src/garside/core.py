@@ -137,7 +137,8 @@ class GarsideStructure:
 
     def simples(self) -> tuple:
         """All simple elements, sorted: the canonical total order on simples
-        is the order of their encodings as tuples."""
+        is the order of their encodings as tuples.  The tuple is built on
+        each call, and no copy of it is kept."""
         raise NotImplementedError
 
     def simple_count(self) -> int:

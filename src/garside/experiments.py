@@ -14,7 +14,6 @@ summit set, so it is read off the latter by the membership test.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .circuits import compute_sss, sliding_circuits_in_sss
@@ -53,19 +52,18 @@ def enumerate_length_one_classes(
         raise BudgetExceeded(f"{st.name} has {st.simple_count()} simple elements, "
                              f"more than the set budget of {budgets.max_set_size}")
     results = []
+    # marks the t of each summit Delta^i t; compute_sss checks inf and length
     assigned: set = set()
     for s in st.simples():
-        if st.is_trivial(s) or st.is_delta(s):
+        if s in assigned or st.is_trivial(s) or st.is_delta(s):
             continue
         x = multiply(delta_power(st, i), from_simple(st, s))
-        if x in assigned:
-            continue
         rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
         if rep.inf != i or rep.canonical_length != 1:
             continue
         sss = compute_sss(rep, budgets, start=rep)
         sc = sliding_circuits_in_sss(sss, budgets)
-        assigned.update(sss)
+        assigned.update(v.factors[0] for v in sss)
         representative = min(sc, key=lambda v: v.sort_key())
         results.append(ClassStatistics(representative, len(sss), len(sc)))
     results.sort(key=lambda c: c.representative.sort_key())
@@ -117,6 +115,8 @@ def emit_csv(rows: list) -> str:
 
 def emit_json(rows: list) -> str:
     """Rows as JSON objects, floats rounded as in the CSV."""
+    import json  # only the --format json path loads it
+
     out = [{c: float(_fmt(v)) if isinstance(v, float) else v for c, v in r._asdict().items()}
            for r in rows]
     return json.dumps(out, indent=2) + "\n"

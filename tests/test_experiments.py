@@ -1,12 +1,15 @@
 """Exhaustive statistics over classes of summit canonical length 1."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
-from garside.artin import artin_structure
-from garside.bkl import bkl_structure
+from garside.artin import ArtinStructure, artin_structure
+from garside.bkl import BKLStructure, bkl_structure
 from garside.circuits import compute_sss
+from garside.core import delta_power, from_simple, multiply
 from garside.experiments import (
     CSV_HEADER,
     ClassStatistics,
@@ -16,6 +19,7 @@ from garside.experiments import (
     row_to_csv,
     statistics_row,
 )
+from garside.sliding import slide_to_circuit
 
 from oracles import in_sc, sliding_circuit_set
 
@@ -37,6 +41,42 @@ def test_class_partition_b4():
     reps = [c.representative for c in classes]
     assert len(set(reps)) == len(reps)
     assert reps == sorted(reps, key=lambda v: v.sort_key())
+
+
+def test_structures_keep_no_copy_of_the_simples():
+    """The table reads the simples once; the structure must not hold the
+    40,320 permutations of B_8 or the 4,862 partitions of dual B_9 after."""
+    for st in (ArtinStructure(8), BKLStructure(9)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(st.simples()) == st.simple_count()
+            gc.collect()  # also empties the interpreter's free lists of tuples
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024, (st.name, after - before)
+        first, second = st.simples(), st.simples()
+        assert first == second
+        assert list(first) == sorted(first)
+        assert len(first) == st.simple_count()
+
+
+def test_classes_cover_exactly_the_length_one_candidates():
+    """Oracle for marking classes by bare simples, off the pinned rows: the
+    summit sets hold exactly the candidates Delta^i s whose circuit
+    representative has infimum i and canonical length 1."""
+    cases = [(artin_structure(n), i) for n in (4, 5) for i in (-1, 1)]
+    cases += [(bkl_structure(n), i) for n in (4, 5) for i in (1, 2)]
+    for st, i in cases:
+        candidates = 0
+        for s in st.simples():
+            if st.is_trivial(s) or st.is_delta(s):
+                continue
+            rep, _ = slide_to_circuit(multiply(delta_power(st, i), from_simple(st, s)))
+            candidates += rep.inf == i and rep.canonical_length == 1
+        classes = enumerate_length_one_classes(st, i)
+        assert sum(c.sss_size for c in classes) == candidates, (st.name, i)
 
 
 def test_sc_read_off_sss_matches_graph():

@@ -11,10 +11,11 @@ import garside
 
 
 def test_cli_import_leaves_out_heavy_stdlib_modules():
-    # start-up compiles every module a CLI call imports; argparse and
-    # dataclasses (which brings inspect) are not among them
+    # start-up compiles every module a CLI call imports; argparse,
+    # dataclasses (which brings inspect) and json are not among them: json
+    # is loaded by the --format json paths alone
     script = ("import garside.cli, sys; "
-              "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(garside.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
