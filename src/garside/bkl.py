@@ -12,9 +12,11 @@ cycle i_1 -> i_2 -> ... -> i_k -> i_1.  Products, quotients and the
 complement are computed through the underlying permutations, which
 realizes the Kreweras complement (this is validated exhaustively in the
 tests rather than taken on faith).  The permutation view is memoised both
-ways per structure: a partition's permutation and its inverse are built
-once, and a permutation's partition is built, and checked to be
-increasing on every cycle and non-crossing, once.
+ways per structure, so each partition and permutation is converted, and
+checked to be increasing on every cycle and non-crossing, once.  Every
+conversion, to and from permutations and order masks, is one pass over
+the points that writes canonical labels as it finds the blocks, and the
+crossing test is one stack pass over canonical labels.
 
 Divisibility of simples, as a prefix and as a suffix, is refinement of
 partitions.  The order mask of a partition is its same-block relation: bit
@@ -38,17 +40,6 @@ from .core import GarsideStructure, VerificationError
 from .artin import _compose, _invert
 
 
-def _canonical_labels(raw) -> tuple:
-    """Relabel an arbitrary label sequence by first occurrence."""
-    seen: dict = {}
-    out = []
-    for v in raw:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
-
-
 def _band_index(t: int, s: int) -> int:
     """Index of a_{t,s} in BKLStructure.atoms, which lists the bands by t,
     then s."""
@@ -69,20 +60,22 @@ def blocks_of(s: tuple) -> list:
 def is_noncrossing(s: tuple) -> bool:
     """True iff no two blocks of the partition cross.
 
-    Two blocks cross iff an arc of one crosses an arc of the other, an
-    arc joining consecutive elements of a block: if a < b < c < d with
-    a, c in X and b, d in Y, then b lies between consecutive elements of X
-    on the way from a to c, and the arcs of Y from b to d leave that gap.
+    s must carry canonical labels: 0 first, and a new label is the count
+    of labels seen.  One pass keeps the stack of open blocks in label
+    order, 0 at the bottom.  A block that returns closes the blocks above
+    it, each of which has an element since its previous one; a closed
+    block that returns crosses its closer.
     """
-    last: dict = {}
-    arcs = []
-    for i, lab in enumerate(s):
-        if lab in last:
-            arcs.append((last[lab], i))
-        last[lab] = i
-    for i, j in arcs:
-        for k, m in arcs:
-            if i < k < j < m:
+    stack: list = []
+    seen = 0
+    for lab in s:
+        if lab == seen:
+            stack.append(lab)
+            seen += 1
+        else:
+            while stack[-1] > lab:
+                stack.pop()
+            if stack[-1] != lab:
                 return False
     return True
 
@@ -100,9 +93,6 @@ class BKLStructure(GarsideStructure):
         self.delta = (0,) * n
         self.norm_of_delta = n - 1
         self.tau_order = n
-        self.atoms = tuple(
-            self.atom(t, s) for t in range(2, n + 1) for s in range(1, t)
-        )
         self._delta_perm = tuple(range(2, n + 1)) + (1,)  # i -> i+1 cyclically
         self._perm_cache: dict = {}
         self._perm_inv_cache: dict = {}
@@ -110,14 +100,13 @@ class BKLStructure(GarsideStructure):
         self._from_mask_cache: dict = {}
         self._complement_masks: dict = {}  # s -> order_mask(partial(s))
         self._join_cache: dict = {}  # mask of partial(a) /\ partial(b) -> a v b
+        self.atoms = tuple(self.from_mask(1 << i) for i in range(n * (n - 1) // 2))
 
     def atom(self, t: int, s: int) -> tuple:
         """The band generator a_{t,s} as a partition (block {s,t})."""
         if not 1 <= s < t <= self.n:
             raise ValueError(f"band indices ({t},{s}) out of range for {self.name}")
-        raw = list(range(self.n))
-        raw[t - 1] = raw[s - 1]
-        return _canonical_labels(raw)
+        return self.from_mask(1 << _band_index(t, s))
 
     # -- permutation view ---------------------------------------------------
     # Memoised both ways.  The arguments are simples, and from_perm caches
@@ -128,10 +117,15 @@ class BKLStructure(GarsideStructure):
         """Underlying permutation: each block an increasing cycle."""
         perm = self._perm_cache.get(s)
         if perm is None:
+            # last[lab] is the latest element of block lab, which maps to the
+            # block's first; a new block starts as a fixed point
             im = list(range(1, self.n + 1))
-            for b in blocks_of(s):
-                for i in range(len(b)):
-                    im[b[i] - 1] = b[(i + 1) % len(b)]
+            last: list = []
+            for i, lab in enumerate(s):
+                if lab == len(last):
+                    last.append(i)
+                j, last[lab] = last[lab], i
+                im[i], im[j] = im[j], i + 1
             perm = self._perm_cache[s] = tuple(im)
         return perm
 
@@ -153,21 +147,20 @@ class BKLStructure(GarsideStructure):
         s = self._from_perm_cache.get(perm)
         if s is not None:
             return s
-        n = self.n
-        labels = [-1] * n
-        for start in range(1, n + 1):
-            if labels[start - 1] != -1:
-                continue
-            cyc = [start]
-            j = perm[start - 1]
-            while j != start:
-                cyc.append(j)
-                j = perm[j - 1]
-            if cyc != sorted(cyc):
-                raise VerificationError("cycle is not increasing; not a simple element")
-            for i in cyc:
-                labels[i - 1] = start
-        s = _canonical_labels(labels)
+        # the k-th cycle met, walked from its minimum, gets label k
+        labels = [-1] * self.n
+        k = 0
+        for start in range(self.n):
+            if labels[start] < 0:
+                labels[start] = k
+                i, j = start, perm[start] - 1
+                while j != start:
+                    if j < i:
+                        raise VerificationError("cycle is not increasing; not a simple element")
+                    labels[j] = k
+                    i, j = j, perm[j] - 1
+                k += 1
+        s = tuple(labels)
         if not is_noncrossing(s):
             raise VerificationError("crossing partition; not a simple element")
         self._from_perm_cache[perm] = s
@@ -215,11 +208,14 @@ class BKLStructure(GarsideStructure):
         if s is not None:
             return s
         labels: list = []
+        k = 0  # the next free label
         for j in range(self.n):
-            # bits j(j-1)/2 .. j(j-1)/2 + j - 1: the pairs (i, j), i < j
+            # bits j(j-1)/2 .. j(j-1)/2 + j - 1: the pairs (i, j), i < j;
+            # j takes the label of the least i in its block, or a free one
             row = m >> (j * (j - 1) // 2) & ((1 << j) - 1)
-            labels.append(labels[(row & -row).bit_length() - 1] if row else j)
-        s = _canonical_labels(labels)
+            labels.append(labels[(row & -row).bit_length() - 1] if row else k)
+            k += not row
+        s = tuple(labels)
         if not is_noncrossing(s) or self._order_mask(s) != m:
             raise VerificationError("mask is not a non-crossing partition")
         self._from_mask_cache[m] = s
@@ -241,11 +237,14 @@ class BKLStructure(GarsideStructure):
         return self.n - len(set(s))
 
     def _order_mask(self, s) -> int:
+        # rows[lab] has bit i per element i + 1 of block lab seen so far
         m = 0
-        for b in blocks_of(s):
-            for k, t in enumerate(b):
-                for u in b[:k]:
-                    m |= 1 << _band_index(t, u)
+        rows: list = []
+        for j, lab in enumerate(s):
+            if lab == len(rows):
+                rows.append(0)
+            m |= rows[lab] << (j * (j - 1) // 2)
+            rows[lab] |= 1 << j
         return m
 
     def simples(self) -> tuple:

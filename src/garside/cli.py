@@ -346,7 +346,8 @@ def _dispatch(args) -> tuple:
         y = parse_word(st, args.word2)
         witness = solve_csp(x, y, budgets)
         if witness is None:
-            return EXIT_NOT_CONJUGATE, ["NO\n"]
+            no = _dumps({"conjugate": False}) if args.format == "json" else "NO"
+            return EXIT_NOT_CONJUGATE, [no + "\n"]
         if args.format == "json":
             return EXIT_OK, [_dumps({"conjugate": True,
                                      "witness": element_to_json(witness.conjugator)}) + "\n"]

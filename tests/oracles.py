@@ -4,15 +4,17 @@ prefix order and the blockwise meet on simples by loops, the greedy
 lattice operations on elements, cyclic sliding one step at a time, the
 reverse structure with the right-handed variants of sliding and
 transport, cycling and decycling, the membership tests for the invariant
-subsets of a class, simples from words and back by rescanning, and
-non-crossing partitions by filtering all set partitions, and the minimal
-summit conjugators rho_a with every fixpoint run to its end, and the
-argparse tree the CLI's table-driven argv reader replaced."""
+subsets of a class, simples from words and back by rescanning, the dual
+conversions by block lists with relabelling by first occurrence and the
+pairwise crossing test, tau^k in closed form, non-crossing partitions by
+filtering all set partitions, and the minimal summit conjugators rho_a
+with every fixpoint run to its end, and the argparse tree the CLI's
+table-driven argv reader replaced."""
 
 import argparse
 import functools
 
-from garside.bkl import is_noncrossing
+from garside.bkl import BKLStructure, _band_index, blocks_of
 from garside.circuits import BudgetExceeded, Budgets, compute_scg, solve_csp
 from garside.core import (
     GarsideElement,
@@ -414,21 +416,105 @@ def rescanning_simple_to_word(st, s) -> list:
     return out
 
 
-def filtered_noncrossing_partitions(n: int) -> tuple:
-    """The non-crossing partitions of {1..n} as sorted label tuples, by
-    filtering all Bell(n) set partitions with `is_noncrossing`."""
-    out = set()
+# -- the dual conversions by block lists -------------------------------------
+
+def canonical_labels(raw) -> tuple:
+    """Relabel an arbitrary label sequence by first occurrence."""
+    seen: dict = {}
+    return tuple([seen.setdefault(v, len(seen)) for v in raw])
+
+
+def crossing_pair(labels):
+    """Labels of two crossing blocks, or None, by comparing every pair of
+    arcs, an arc joining consecutive elements of a block: if a < b < c < d
+    with a, c in X and b, d in Y, then b lies between consecutive elements
+    of X on the way from a to c, and the arcs of Y from b to d leave that
+    gap.  Any labels will do, canonical or not."""
+    last: dict = {}
+    arcs = []
+    for i, lab in enumerate(labels):
+        if lab in last:
+            arcs.append((last[lab], i))
+        last[lab] = i
+    for i, j in arcs:
+        for k, m in arcs:
+            if i < k < j < m:
+                return labels[i], labels[k]
+    return None
+
+
+def pairwise_noncrossing(labels) -> bool:
+    return crossing_pair(labels) is None
+
+
+def block_perm(s: tuple) -> tuple:
+    """Underlying permutation of a partition: each block an increasing
+    cycle."""
+    im = list(range(1, len(s) + 1))
+    for b in blocks_of(s):
+        for i in range(len(b)):
+            im[b[i] - 1] = b[(i + 1) % len(b)]
+    return tuple(im)
+
+
+def cycle_partition(perm: tuple):
+    """Partition whose blocks are the cycles of perm, relabelled by first
+    occurrence, or None unless every cycle increases from its minimum and
+    no two cycles cross."""
+    labels = [0] * len(perm)
+    for start in range(1, len(perm) + 1):
+        cyc = [start]
+        while perm[cyc[-1] - 1] != start:
+            cyc.append(perm[cyc[-1] - 1])
+        if min(cyc) == start:
+            if cyc != sorted(cyc):
+                return None
+            for i in cyc:
+                labels[i - 1] = start
+    s = canonical_labels(labels)
+    return s if pairwise_noncrossing(s) else None
+
+
+def block_mask(s: tuple) -> int:
+    """Order mask of a partition: bit _band_index(t, u) for every pair
+    u < t in one block."""
+    m = 0
+    for b in blocks_of(s):
+        for k, t in enumerate(b):
+            for u in b[:k]:
+                m |= 1 << _band_index(t, u)
+    return m
+
+
+def set_partitions(n: int):
+    """The Bell(n) set partitions of {1..n} as restricted-growth strings:
+    label tuples in which each label is at most one more than every label
+    before it, i.e. canonically labelled."""
     stack = [((), 0)]
     while stack:
         labels, nblocks = stack.pop()
-        i = len(labels)
-        if i == n:
-            if is_noncrossing(labels):
-                out.add(labels)
+        if len(labels) == n:
+            yield labels
             continue
         for lab in range(nblocks + 1):
             stack.append((labels + (lab,), max(nblocks, lab + 1)))
-    return tuple(sorted(out))
+
+
+def tau_pow_closed_form(st: GarsideStructure, s, k: int):
+    """tau^k(s) = Delta^-k s Delta^k without the tau memo.  Classical:
+    Delta is the reversal, so an odd k reverses both the positions and the
+    values of the permutation.  Dual: Delta is the n-cycle i -> i + 1, so
+    tau^k rotates the labels by k, which then need relabelling."""
+    if isinstance(st, BKLStructure):
+        r = -k % st.n
+        return canonical_labels(s[r:] + s[:r])
+    return tuple(st.n + 1 - v for v in reversed(s)) if k % 2 else s
+
+
+def filtered_noncrossing_partitions(n: int) -> tuple:
+    """The non-crossing partitions of {1..n} as sorted label tuples, by
+    filtering all Bell(n) set partitions with the pairwise crossing test."""
+    return tuple(sorted(filter(pairwise_noncrossing, set_partitions(n))))
 
 
 # -- minimal conjugators and the conjugacy decision -----------------------------

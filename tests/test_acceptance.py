@@ -122,6 +122,7 @@ _DUAL_ROWS = {
     (7, 1): "bkl,7,1,31,63,28,9,13.7742,9.03226,1.64516,22.8361,10.4426,2.70492",
     (7, 2): "bkl,7,2,29,42,28,5,14.7241,10.3793,1.47701,23.2951,13.4262,2.02186",
     (7, 3): "bkl,7,3,26,42,42,1,16.4231,16.4231,1,26.9672,26.9672,1",
+    (9, 1): "bkl,9,1,146,225,72,25,33.2877,15.1027,2.50742,82.4222,20.9389,5.56728",
 }
 
 
@@ -138,7 +139,7 @@ def test_criterion_4_dual_statistics_rows():
                 for c in classes:
                     assert c.sss_size == c.sc_size
 
-    _run(4, "dual statistics rows n=6 (i=0..2) and n=7 (i=0..3)", body)
+    _run(4, "dual statistics rows n=6 (i=0..2), n=7 (i=0..3) and n=9 (i=1)", body)
 
 
 def test_criterion_5_rigidity_walkthrough():

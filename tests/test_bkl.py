@@ -1,6 +1,8 @@
 """The non-crossing-partition descriptor for the dual structure."""
 
+import hashlib
 import random
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -9,7 +11,6 @@ from garside.artin import artin_structure
 from garside.bkl import (
     BKLStructure,
     _band_index,
-    _canonical_labels,
     bkl_structure,
     blocks_of,
     is_noncrossing,
@@ -25,32 +26,24 @@ from garside.core import (
 from garside.words import band_to_sigma_word
 
 from oracles import (
+    block_mask,
+    block_perm,
     blockwise_meet,
+    canonical_labels,
+    crossing_pair,
+    cycle_partition,
     filtered_noncrossing_partitions,
     meet,
+    pairwise_noncrossing,
     prefix_leq,
     refinement_leq,
+    set_partitions,
     suffix_leq,
 )
 
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
-
-
-def _crossing_pair(labels):
-    """Labels of two crossing blocks, or None."""
-    last: dict = {}
-    arcs = []
-    for i, lab in enumerate(labels):
-        if lab in last:
-            arcs.append((last[lab], i))
-        last[lab] = i
-    for i, j in arcs:
-        for k, m in arcs:
-            if i < k < j < m:
-                return labels[i], labels[k]
-    return None
 
 
 def merge_and_uncross_join(a, b):
@@ -67,12 +60,11 @@ def merge_and_uncross_join(a, b):
     first: dict = {}
     for i, lab in enumerate(b):
         merge(labels[first.setdefault(lab, i)], labels[i])
-    pair = _crossing_pair(labels)
+    pair = crossing_pair(labels)
     while pair is not None:
         merge(*pair)
-        pair = _crossing_pair(labels)
-    seen: dict = {}
-    return tuple(seen.setdefault(lab, len(seen)) for lab in labels)
+        pair = crossing_pair(labels)
+    return canonical_labels(labels)
 
 
 def lattice_pairs(st, rng):
@@ -111,6 +103,82 @@ def test_direct_enumeration_matches_the_filter_of_all_set_partitions():
 def test_noncrossing_filter():
     assert is_noncrossing((0, 1, 0, 1)) is False  # {1,3},{2,4} crosses
     assert is_noncrossing((0, 1, 1, 0)) is True   # {1,4},{2,3} nests
+
+
+def test_stack_pass_matches_the_pairwise_crossing_test():
+    """The stack pass against comparing every pair of arcs, on every
+    restricted-growth string (canonically labelled set partition) of
+    length n <= 9: 26,442 partitions."""
+    count = 0
+    for n in range(1, 10):
+        for labels in set_partitions(n):
+            assert is_noncrossing(labels) == pairwise_noncrossing(labels), labels
+            count += 1
+    assert count == 26_442
+
+
+def random_noncrossing(n, rng):
+    """A random non-crossing partition: the walk of BKLStructure.simples
+    with a random step, so every partition has positive probability."""
+    labels, open_, blocks = [], [], 0
+    for _ in range(n):
+        k = rng.randrange(len(open_) + 1)
+        if k == len(open_):
+            labels.append(blocks)
+            open_.append(blocks)
+            blocks += 1
+        else:
+            labels.append(open_[k])
+            del open_[k + 1:]
+    return tuple(labels)
+
+
+def test_one_pass_conversions_match_block_oracles():
+    """to_perm, from_perm, _order_mask and from_mask against the block-list
+    oracles on every non-crossing partition for n <= 8 and on fixed-seed
+    random ones for n = 10..14; atom against relabelling by first
+    occurrence."""
+    rng = random.Random(20261020)
+    for n in [*range(2, 9), *range(10, 15)]:
+        st = BKLStructure(n)
+        parts = st.simples() if n <= 8 else {random_noncrossing(n, rng) for _ in range(300)}
+        for s in parts:
+            perm, mask = block_perm(s), block_mask(s)
+            assert st.to_perm(s) == perm
+            assert st.from_perm(perm) == s == cycle_partition(perm)
+            assert st._order_mask(s) == mask
+            assert st.from_mask(mask) == s
+        for t in range(2, n + 1):
+            for u in range(1, t):
+                raw = list(range(n))
+                raw[t - 1] = u - 1
+                assert st.atom(t, u) == canonical_labels(raw)
+
+
+def test_decoders_refuse_what_is_not_a_simple():
+    """from_perm raises exactly where the cycle oracle finds a cycle that
+    does not increase from its minimum, or two cycles that cross, on every
+    permutation for n <= 7; from_mask raises exactly on the masks of no
+    non-crossing partition, on every mask for n <= 6."""
+    for n in range(2, 8):
+        st = BKLStructure(n)
+        for perm in permutations(range(1, n + 1)):
+            want = cycle_partition(perm)
+            if want is None:
+                with pytest.raises(VerificationError):
+                    st.from_perm(perm)
+            else:
+                assert st.from_perm(perm) == want
+        if n <= 6:
+            masks = {block_mask(s): s for s in st.simples()}
+            for m in range(1 << n * (n - 1) // 2):
+                if m in masks:
+                    assert st.from_mask(m) == masks[m]
+                else:
+                    with pytest.raises(VerificationError):
+                        st.from_mask(m)
+    with pytest.raises(VerificationError):
+        BKLStructure(3).from_perm((3, 1, 2))  # the cycle 1 -> 3 -> 2 falls
 
 
 def test_band_generator_is_conjugated_sigma():
@@ -196,7 +264,7 @@ def test_one_pass_meet_matches_relabelled_pairs():
         st = bkl_structure(n)
         for a, b in lattice_pairs(st, rng):
             m = st.meet_simple(a, b)
-            assert m == _canonical_labels(list(zip(a, b))) == blockwise_meet(n, a, b)
+            assert m == canonical_labels(zip(a, b)) == blockwise_meet(n, a, b)
             assert st.leq(a, b) == refinement_leq(a, b)
             assert st.leq(b, a) == refinement_leq(b, a)
 
@@ -270,6 +338,17 @@ def test_join_matches_merge_and_uncross_oracle():
             assert j == merge_and_uncross_join(a, b)
             assert j == st.complement_inv(
                 blockwise_meet(n, st.complement(a), st.complement(b)))
+
+
+def test_dual_b10_sliding_circuits_are_pinned(capsys):
+    """The set of sliding circuits of a dual B_10 class, 2,160 elements,
+    recorded before the conversions became one pass each."""
+    assert main(["--structure", "bkl", "--n", "10", "sc",
+                 "a(3,1) a(5,4) a(8,2) a(10,6)"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 2160
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2c3097930807ed9d344cfad5e587d7f6c354b179127a3417882d1fdb925ba098")
 
 
 def test_from_perm_checks_survive_filled_caches(capsys):

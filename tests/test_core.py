@@ -43,6 +43,7 @@ from oracles import (
     right_meet_simple,
     suffix_geq,
     suffix_leq,
+    tau_pow_closed_form,
     word_to_simple,
 )
 
@@ -638,3 +639,14 @@ def test_join_simple_matches_complement_definition():
                     j = st.join_simple(a, b)
                     assert all(st.leq(j, c) for c in simples
                                if st.leq(a, c) and st.leq(b, c))
+
+
+def test_tau_pow_matches_its_closed_form():
+    """tau_pow(s, k) through the tau memo against the closed form, on every
+    simple for n <= 6 and every k in -2n..2n; on the dual structure k mod n
+    above n/2 takes the tau_inv branch."""
+    for n in range(2, 7):
+        for st in (ArtinStructure(n), BKLStructure(n)):
+            for s in st.simples():
+                for k in range(-2 * n, 2 * n + 1):
+                    assert st.tau_pow(s, k) == tau_pow_closed_form(st, s, k), (st.name, s, k)

@@ -457,6 +457,24 @@ def test_cli_conj_no(capsys):
     assert out.strip() == "NO"
 
 
+def test_cli_conj_json_answers_parse(capsys):
+    """Both answers of conj --format json are JSON: the witness of a YES
+    conjugates x to y, and a NO is {"conjugate": false} with exit code 1."""
+    st = artin_structure(4)
+    code, out, _ = run_cli(capsys, ["conj", "--format", "json", "s1 s2 s3", "s2 s1 s3"])
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"conjugate", "witness"} and data["conjugate"] is True
+    w = data["witness"]
+    c = multiply(delta_power(st, w["p"]),
+                 left_normal_form(st, [(tuple(f), 1) for f in w["factors"]]))
+    assert element_to_json(c) == w
+    assert conjugate(parse_word(st, "s1 s2 s3"), c) == parse_word(st, "s2 s1 s3")
+    code, out, _ = run_cli(capsys, ["--n", "3", "conj", "--format", "json", "s1", "s1 s2"])
+    assert code == 1
+    assert json.loads(out) == {"conjugate": False}
+
+
 def test_cli_conj_no_from_summit_invariants_builds_no_graph(capsys, monkeypatch):
     """Pairs whose circuit representatives differ in inf or canonical
     length are answered NO before any graph is walked: the first two
