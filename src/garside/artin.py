@@ -47,11 +47,6 @@ def _invert(a: tuple) -> tuple:
     return tuple(inv)
 
 
-def _inversions(a: tuple) -> int:
-    n = len(a)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if a[i] > a[j])
-
-
 class ArtinStructure(GarsideStructure):
     """Descriptor for B_n with permutation-braid simples."""
 
@@ -141,7 +136,7 @@ class ArtinStructure(GarsideStructure):
         return tuple(u)
 
     def _complement(self, s):
-        return _compose(_invert(s), self.delta)
+        return self.lquot(s, self.delta)
 
     def _complement_inv(self, s):
         return _compose(self.delta, _invert(s))
@@ -157,7 +152,7 @@ class ArtinStructure(GarsideStructure):
         return tuple(out)
 
     def _norm(self, s) -> int:
-        return _inversions(s)
+        return self.order_mask(s).bit_count()
 
     def _order_mask(self, s) -> int:
         m = 0

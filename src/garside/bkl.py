@@ -11,12 +11,14 @@ a_{i_k, i_{k-1}} ... a_{i_2, i_1}, whose underlying permutation is the
 cycle i_1 -> i_2 -> ... -> i_k -> i_1.  Products, quotients and the
 complement are computed through the underlying permutations, which
 realizes the Kreweras complement (this is validated exhaustively in the
-tests rather than taken on faith).  The permutation view is memoised both
-ways per structure, so each partition and permutation is converted, and
-checked to be increasing on every cycle and non-crossing, once.  Every
-conversion, to and from permutations and order masks, is one pass over
-the points that writes canonical labels as it finds the blocks, and the
-crossing test is one stack pass over canonical labels.
+tests rather than taken on faith).  The quotient s^-1 b is one pass over
+the two permutations, and the complement is the quotient s^-1 Delta.
+Each partition and permutation is converted, and checked to be increasing
+on every cycle and non-crossing, once: the two conversion memos share one
+permutation object per simple.  Every conversion, to and from
+permutations and order masks, is one pass over the points that writes
+canonical labels as it finds the blocks, and the crossing test is one
+stack pass over canonical labels.
 
 Divisibility of simples, as a prefix and as a suffix, is refinement of
 partitions.  The order mask of a partition is its same-block relation: bit
@@ -93,9 +95,7 @@ class BKLStructure(GarsideStructure):
         self.delta = (0,) * n
         self.norm_of_delta = n - 1
         self.tau_order = n
-        self._delta_perm = tuple(range(2, n + 1)) + (1,)  # i -> i+1 cyclically
         self._perm_cache: dict = {}
-        self._perm_inv_cache: dict = {}
         self._from_perm_cache: dict = {}
         self._from_mask_cache: dict = {}
         self._complement_masks: dict = {}  # s -> order_mask(partial(s))
@@ -109,9 +109,10 @@ class BKLStructure(GarsideStructure):
         return self.from_mask(1 << _band_index(t, s))
 
     # -- permutation view ---------------------------------------------------
-    # Memoised both ways.  The arguments are simples, and from_perm caches
-    # a permutation only once it has passed its checks, so each cache holds
-    # at most Catalan(n) entries.
+    # Memoised both ways, with one permutation object per simple: from_perm
+    # keys its cache by the object to_perm returns.  The arguments are
+    # simples, and from_perm caches a permutation only once it has passed
+    # its checks, so each cache holds at most Catalan(n) entries.
 
     def to_perm(self, s: tuple) -> tuple:
         """Underlying permutation: each block an increasing cycle."""
@@ -127,13 +128,6 @@ class BKLStructure(GarsideStructure):
                 j, last[lab] = last[lab], i
                 im[i], im[j] = im[j], i + 1
             perm = self._perm_cache[s] = tuple(im)
-        return perm
-
-    def _perm_inv(self, s: tuple) -> tuple:
-        """Inverse of the underlying permutation of s."""
-        perm = self._perm_inv_cache.get(s)
-        if perm is None:
-            perm = self._perm_inv_cache[s] = _invert(self.to_perm(s))
         return perm
 
     def from_perm(self, perm: tuple) -> tuple:
@@ -163,7 +157,7 @@ class BKLStructure(GarsideStructure):
         s = tuple(labels)
         if not is_noncrossing(s):
             raise VerificationError("crossing partition; not a simple element")
-        self._from_perm_cache[perm] = s
+        self._from_perm_cache[self._perm_cache.setdefault(s, perm)] = s
         return s
 
     # -- descriptor contract -------------------------------------------------
@@ -222,16 +216,20 @@ class BKLStructure(GarsideStructure):
         return s
 
     def _complement(self, s):
-        return self.from_perm(_compose(self._perm_inv(s), self._delta_perm))
+        return self.lquot(s, self.delta)
 
     def _complement_inv(self, s):
-        return self.from_perm(_compose(self._delta_perm, self._perm_inv(s)))
+        return self.from_perm(_compose(self.to_perm(self.delta), _invert(self.to_perm(s))))
 
     def prod(self, a, b):
         return self.from_perm(_compose(self.to_perm(a), self.to_perm(b)))
 
     def lquot(self, s, b):
-        return self.from_perm(_compose(self._perm_inv(s), self.to_perm(b)))
+        # s^-1 b in one pass, from (s^-1 b)(s(i)) = b(i)
+        out = [0] * self.n
+        for v, w in zip(self.to_perm(s), self.to_perm(b)):
+            out[v - 1] = w
+        return self.from_perm(tuple(out))
 
     def _norm(self, s) -> int:
         return self.n - len(set(s))

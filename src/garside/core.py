@@ -63,6 +63,8 @@ class GarsideStructure:
     Attributes that subclasses must set: ``name``, ``atoms`` (tuple of
     simples, fixed order), ``delta``, ``trivial``, ``norm_of_delta`` and
     ``tau_order`` (the order of tau as a permutation of the simples).
+    Callers test for the trivial element and for Delta by comparing with
+    ``trivial`` and ``delta``.
     """
 
     name: str
@@ -85,12 +87,6 @@ class GarsideStructure:
         self._commute_cache: dict = {}  # i * len(atoms) + j -> atoms i and j commute
 
     # -- primitives a subclass must implement ------------------------------
-
-    def is_trivial(self, s) -> bool:
-        return s == self.trivial
-
-    def is_delta(self, s) -> bool:
-        return s == self.delta
 
     def leq(self, a, b) -> bool:
         """Prefix order a <= b on simples: containment of order masks."""
@@ -271,24 +267,24 @@ def _push_factor(st: GarsideStructure, fs: list, c) -> int:
     holds on return.  Returns the Delta power stripped off the front
     (0 or 1).
     """
-    if st.is_trivial(c):
+    if c == st.trivial:
         return 0
     fs.append(c)
     i = len(fs) - 1
-    while i and not st.is_delta(fs[i]):
+    while i and fs[i] != st.delta:
         a, b = fs[i - 1], fs[i]
         s = st.meet_simple(st.complement(a), b)
-        if st.is_trivial(s):
+        if s == st.trivial:
             break
         fs[i - 1] = st.prod(a, s)
         fs[i] = st.lquot(s, b)
         i -= 1
     d = 0
-    if st.is_delta(fs[i]):
+    if fs[i] == st.delta:
         del fs[i]
         fs[:i] = [st.tau(f) for f in fs[:i]]
         d = 1
-    if fs and st.is_trivial(fs[-1]):
+    if fs and fs[-1] == st.trivial:
         del fs[-1]
     return d
 
@@ -309,21 +305,21 @@ def _push_front(st: GarsideStructure, fs: list, c) -> int:
     holds on return.  Returns the Delta power stripped off the front
     (0 or 1).
     """
-    if st.is_trivial(c):
+    if c == st.trivial:
         return 0
     fs.insert(0, c)
     for i in range(len(fs) - 1):
         a, b = fs[i], fs[i + 1]
         s = st.meet_simple(st.complement(a), b)
-        if st.is_trivial(s):
+        if s == st.trivial:
             break
         fs[i] = st.prod(a, s)
         b = st.lquot(s, b)
-        if st.is_trivial(b):
+        if b == st.trivial:
             del fs[i + 1]
             break
         fs[i + 1] = b
-    if st.is_delta(fs[0]):
+    if fs[0] == st.delta:
         del fs[0]
         return 1
     return 0
@@ -342,9 +338,9 @@ def delta_power(st: GarsideStructure, k: int) -> GarsideElement:
 
 
 def from_simple(st: GarsideStructure, s) -> GarsideElement:
-    if st.is_trivial(s):
+    if s == st.trivial:
         return identity_element(st)
-    if st.is_delta(s):
+    if s == st.delta:
         return delta_power(st, 1)
     return _element(st, 0, (s,))
 
@@ -397,7 +393,7 @@ def _letter_runs(st: GarsideStructure, word: Iterable):
     """
     run, sign = None, 0
     for s, e, _ in word:
-        delta = st.is_delta(s)
+        delta = s == st.delta
         if e == sign and not delta:
             if e == 1:
                 if st.leq(s, st.complement(run)):
@@ -452,7 +448,7 @@ def left_normal_form(st: GarsideStructure, word: Iterable) -> GarsideElement:
     p = m = 0
     fs: list = []
     for r, e in _letter_runs(st, _cancel_commuting_pairs(st, word)):
-        if st.is_delta(r):
+        if r == st.delta:
             p += e
             m -= e
             continue
@@ -523,7 +519,7 @@ def conjugate_simple(x: GarsideElement, s) -> GarsideElement:
     right-to-left wave (:func:`_push_factor`), each stopping early.
     """
     st = x.structure
-    if st.is_trivial(s):
+    if s == st.trivial:
         return x
     q = st.complement_inv(st.tau_pow(s, x.p))
     fs = list(x.factors)

@@ -55,7 +55,7 @@ def enumerate_length_one_classes(
     # marks the t of each summit Delta^i t; compute_sss checks inf and length
     assigned: set = set()
     for s in st.simples():
-        if s in assigned or st.is_trivial(s) or st.is_delta(s):
+        if s in assigned or s == st.trivial or s == st.delta:
             continue
         x = multiply(delta_power(st, i), from_simple(st, s))
         rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)

@@ -144,4 +144,4 @@ def slide_to_circuit(x: GarsideElement, max_states: int = Budgets().max_trajecto
 
 def is_rigid(x: GarsideElement) -> bool:
     """x is rigid iff its preferred prefix is trivial."""
-    return x.structure.is_trivial(preferred_prefix(x))
+    return preferred_prefix(x) == x.structure.trivial

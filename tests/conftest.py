@@ -97,9 +97,9 @@ def stepwise_push_factor(st, fs, c):
     """Push oracle: append simple c to the normal-form factor list fs by a
     right-to-left wave of local slidings that runs on to the front when a
     factor becomes Delta, then strips that Delta; returns 0 or 1."""
-    if st.is_trivial(c):
+    if c == st.trivial:
         return 0
-    if st.is_delta(c):
+    if c == st.delta:
         fs[:] = [st.tau(f) for f in fs]
         return 1
     fs.append(c)
@@ -107,16 +107,16 @@ def stepwise_push_factor(st, fs, c):
     while i >= 0:
         a, b = fs[i], fs[i + 1]
         s = st.meet_simple(st.complement(a), b)
-        if st.is_trivial(s):
+        if s == st.trivial:
             break
         fs[i] = st.prod(a, s)
         fs[i + 1] = st.lquot(s, b)
         i -= 1
     d = 0
-    if fs and st.is_delta(fs[0]):
+    if fs and fs[0] == st.delta:
         del fs[0]
         d = 1
-    if fs and st.is_trivial(fs[-1]):
+    if fs and fs[-1] == st.trivial:
         del fs[-1]
     return d
 
@@ -126,7 +126,7 @@ def rebuild_conjugate_simple(x, s):
     q = partial^-1(tau^p(s)), by pushing q, every factor of x and s onto an
     empty list."""
     st = x.structure
-    if st.is_trivial(s):
+    if s == st.trivial:
         return x
     q = st.complement_inv(st.tau_pow(s, x.p))
     p = x.p - 1
@@ -174,7 +174,7 @@ def sss_with_witnesses(x):
     while frontier:
         y = frontier.pop()
         for s in st.simples():
-            if st.is_trivial(s):
+            if s == st.trivial:
                 continue
             z = conjugate_simple(y, s)
             if z.inf == rep.inf and z.canonical_length == rep.canonical_length \
@@ -199,7 +199,7 @@ def scan_indecomposable_conjugators(y, member):
     for a in st.atoms:
         per_atom[a] = None
     for s in st.simples():
-        if st.is_trivial(s):
+        if s == st.trivial:
             continue
         if not member(conjugate_simple(y, s)):
             continue

@@ -1,15 +1,15 @@
 """Desk-scale oracles that no command calls: minimal conjugators into the
 invariant sets by breadth-first search, the conjugacy decision, the
-prefix order and the blockwise meet on simples by loops, the greedy
-lattice operations on elements, cyclic sliding one step at a time, the
-reverse structure with the right-handed variants of sliding and
-transport, cycling and decycling, the membership tests for the invariant
-subsets of a class, simples from words and back by rescanning, the dual
-conversions by block lists with relabelling by first occurrence and the
-pairwise crossing test, tau^k in closed form, non-crossing partitions by
-filtering all set partitions, and the minimal summit conjugators rho_a
-with every fixpoint run to its end, and the argparse tree the CLI's
-table-driven argv reader replaced."""
+inversion count, the prefix order and the blockwise meet on simples by
+loops, the greedy lattice operations on elements, cyclic sliding one step
+at a time, the reverse structure with the right-handed variants of
+sliding and transport, cycling and decycling, the membership tests for
+the invariant subsets of a class, simples from words and back by
+rescanning, the dual conversions by block lists with relabelling by first
+occurrence and the pairwise crossing test, tau^k in closed form,
+non-crossing partitions by filtering all set partitions, and the minimal
+summit conjugators rho_a with every fixpoint run to its end, and the
+argparse tree the CLI's table-driven argv reader replaced."""
 
 import argparse
 import functools
@@ -55,6 +55,12 @@ def slide_witness(x: GarsideElement):
 
 
 # -- the prefix order on simples, by loops over the encodings -----------------
+
+def inversions(a: tuple) -> int:
+    """Classical norm: the number of inversions of the permutation a."""
+    n = len(a)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if a[i] > a[j])
+
 
 def inversion_leq(a: tuple, b: tuple) -> bool:
     """Classical prefix order: every inversion of the permutation a is

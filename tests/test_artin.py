@@ -9,7 +9,6 @@ import pytest
 from garside.artin import (
     ArtinStructure,
     _compose,
-    _inversions,
     _invert,
     artin_structure,
 )
@@ -17,7 +16,7 @@ from garside.cli import main
 from garside.core import from_simple, left_normal_form
 
 from conftest import greedy_meet_simple
-from oracles import inversion_leq, prefix_leq, rescanning_simple_to_word, word_to_simple
+from oracles import inversion_leq, inversions, prefix_leq, rescanning_simple_to_word, word_to_simple
 
 
 def test_descriptor_basics():
@@ -60,7 +59,7 @@ def test_prefix_test_inversion_count_formulation():
         st = artin_structure(n)
         for a in st.simples():
             for b in st.simples():
-                byinv = _inversions(a) + _inversions(st.lquot(a, b)) == _inversions(b)
+                byinv = inversions(a) + inversions(st.lquot(a, b)) == inversions(b)
                 assert st.leq(a, b) == byinv
 
 
@@ -104,7 +103,7 @@ def test_word_round_trip():
         st = artin_structure(n)
         for s in st.simples():
             word = st.simple_to_word(s)
-            assert len(word) == st.norm(s) == _inversions(s)
+            assert len(word) == st.norm(s) == inversions(s)
             assert word_to_simple(st, word) == s
 
 
@@ -193,7 +192,7 @@ def test_order_mask_cache_holds_at_most_the_simples(capsys):
     st = artin_structure(5)
     assert 0 < len(st._order_mask_cache) <= st.simple_count()
     for s in st.simples():
-        assert st.order_mask(s).bit_count() == _inversions(s)
+        assert st.order_mask(s).bit_count() == inversions(s)
 
 
 def test_join_cache_matches_oracle_cold_warm_and_after_eviction(monkeypatch):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from garside.artin import artin_structure
+from garside.artin import _compose, _invert, artin_structure
 from garside.bkl import (
     BKLStructure,
     _band_index,
@@ -351,6 +351,29 @@ def test_dual_b10_sliding_circuits_are_pinned(capsys):
         "2c3097930807ed9d344cfad5e587d7f6c354b179127a3417882d1fdb925ba098")
 
 
+def test_one_pass_lquot_matches_composition_with_inverse():
+    """The dual quotient s^-1 b, one pass over the two permutations, is the
+    partition of to_perm(s)^-1 to_perm(b), on every pair s <= b."""
+    for n in range(2, 8):
+        st = BKLStructure(n)
+        simples = st.simples()
+        for s in simples:
+            inv = _invert(st.to_perm(s))
+            for b in simples:
+                if st.leq(s, b):
+                    assert st.lquot(s, b) == st.from_perm(_compose(inv, st.to_perm(b)))
+
+
+def test_each_simple_has_one_permutation_object(capsys):
+    """from_perm keys its memo by the very tuple that to_perm returns."""
+    assert main(["--structure", "bkl", "--n", "6", "table"]) == 0
+    capsys.readouterr()
+    st = bkl_structure(6)
+    assert st._from_perm_cache
+    for perm, s in st._from_perm_cache.items():
+        assert perm is st._perm_cache[s]
+
+
 def test_from_perm_checks_survive_filled_caches(capsys):
     assert main(["--structure", "bkl", "--n", "6", "table"]) == 0
     capsys.readouterr()
@@ -368,7 +391,7 @@ def test_from_perm_checks_survive_filled_caches(capsys):
         with pytest.raises(VerificationError):
             st.from_mask(mask)
         assert mask not in st._from_mask_cache
-    for cache in (st._perm_cache, st._perm_inv_cache, st._from_perm_cache,
+    for cache in (st._perm_cache, st._from_perm_cache,
                   st._order_mask_cache, st._from_mask_cache,
                   st._complement_masks, st._join_cache):
         assert 0 < len(cache) <= st.simple_count()

@@ -111,7 +111,7 @@ def test_sss_matches_scan_on_length_one_rows():
         for i in (0, 1):
             covered = set()
             for s in st.simples():
-                if st.is_trivial(s) or st.is_delta(s):
+                if s == st.trivial or s == st.delta:
                     continue
                 x = multiply(delta_power(st, i), from_simple(st, s))
                 if x in covered:
@@ -184,7 +184,7 @@ def test_summit_bounds_match_full_fixpoints():
         for i in (0, 1, 2):
             seen = set()
             for s in st.simples():
-                if st.is_trivial(s) or st.is_delta(s):
+                if s == st.trivial or s == st.delta:
                     continue
                 y = multiply(delta_power(st, i), from_simple(st, s))
                 if y not in seen:
@@ -255,7 +255,7 @@ def test_scg_invariants(rng):
             out_degree = {v: 0 for v in graph.vertices}
             adjacency = {v: set() for v in graph.vertices}
             for a, c, b in graph.arrows:
-                assert not st.is_trivial(c)
+                assert c != st.trivial
                 assert conjugate_simple(a, c) == b
                 out_degree[a] += 1
                 adjacency[a].add(b)
@@ -315,7 +315,7 @@ def test_indecomposable_conjugators_against_brute_force():
             got = [c for c, _ in indecomposable_conjugators(rep, member)]
             successes = [
                 s for s in st.simples()
-                if not st.is_trivial(s) and member(conjugate_simple(rep, s))
+                if s != st.trivial and member(conjugate_simple(rep, s))
             ]
             minimal = [
                 s for s in successes
@@ -326,7 +326,7 @@ def test_indecomposable_conjugators_against_brute_force():
             for s in got:
                 for t in got:
                     if s != t:
-                        assert st.is_trivial(st.meet_simple(s, t))
+                        assert st.meet_simple(s, t) == st.trivial
 
 
 def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
@@ -678,7 +678,7 @@ def test_gcd_closure_of_sc_and_sss(rng):
 def rigid_normal_forms(st, p, length):
     """Every rigid Delta^p s_1 ... s_length in left normal form, in the
     order of st.simples() on each factor."""
-    proper = [s for s in st.simples() if not st.is_trivial(s) and not st.is_delta(s)]
+    proper = [s for s in st.simples() if s != st.trivial and s != st.delta]
     out = []
 
     def extend(factors):
@@ -688,7 +688,7 @@ def rigid_normal_forms(st, p, length):
                 out.append(x)
             return
         for b in proper:
-            if factors and not st.is_trivial(st.meet_simple(st.complement(factors[-1]), b)):
+            if factors and st.meet_simple(st.complement(factors[-1]), b) != st.trivial:
                 continue
             extend(factors + [b])
 
@@ -790,7 +790,7 @@ def test_first_rigid_prefix_product_is_the_minimal_rigid_conjugator():
 def test_mu_bijection_counts_b4():
     st = artin_structure(4)
     for s in st.simples():
-        if st.is_trivial(s) or st.is_delta(s):
+        if s == st.trivial or s == st.delta:
             continue
         x = multiply(delta_power(st, 1), from_simple(st, s))
         y = from_simple(st, st.complement(s))
@@ -804,7 +804,7 @@ def test_membership_chain_on_length_one_classes_b4():
     st = artin_structure(4)
     covered = set()
     for s in st.simples():
-        if st.is_trivial(s) or st.is_delta(s):
+        if s == st.trivial or s == st.delta:
             continue
         x = from_simple(st, s)
         if x in covered:

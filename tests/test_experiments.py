@@ -71,7 +71,7 @@ def test_classes_cover_exactly_the_length_one_candidates():
     for st, i in cases:
         candidates = 0
         for s in st.simples():
-            if st.is_trivial(s) or st.is_delta(s):
+            if s == st.trivial or s == st.delta:
                 continue
             rep, _ = slide_to_circuit(multiply(delta_power(st, i), from_simple(st, s)))
             candidates += rep.inf == i and rep.canonical_length == 1
