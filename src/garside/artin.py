@@ -61,7 +61,7 @@ class ArtinStructure(GarsideStructure):
         self.norm_of_delta = n * (n - 1) // 2
         self.tau_order = 2
         self.atoms = tuple(self.atom(k) for k in range(1, n))
-        self._join_cache: dict = {}  # ma | mb -> join of non-comparable a, b
+        self._join_cache: dict = {}  # by hand: keyed by ma | mb of a pair, emptied when full
 
     def atom(self, k: int) -> tuple:
         """The crossing sigma_k as a permutation."""
@@ -101,7 +101,7 @@ class ArtinStructure(GarsideStructure):
         comparable.  Otherwise the join depends only on the union of the two
         inversion sets, so it is memoised by ma | mb; the cache is emptied
         when it holds ``simple_count()`` entries."""
-        ma, mb = self.order_mask(a), self.order_mask(b)
+        ma, mb = self._order_mask_cache[a], self._order_mask_cache[b]
         if not ma & ~mb:
             return b
         if not mb & ~ma:

@@ -30,7 +30,8 @@ decoded partition once.  The join is partial^-1 of the meet of the
 complements, so it ANDs the masks of the two complements and reads
 partial^-1 of the result from a second per-mask cache.  Every cache is
 keyed by simples or by their masks, so each holds at most Catalan(n)
-entries.
+entries.  Each is a core ``Memo``, except the from_perm memo: it is keyed
+by the one permutation object per simple, so it is kept by hand.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .core import GarsideStructure, VerificationError
+from .core import GarsideStructure, Memo, VerificationError
 from .artin import _compose, _invert
 
 
@@ -95,11 +96,11 @@ class BKLStructure(GarsideStructure):
         self.delta = (0,) * n
         self.norm_of_delta = n - 1
         self.tau_order = n
-        self._perm_cache: dict = {}
-        self._from_perm_cache: dict = {}
-        self._from_mask_cache: dict = {}
-        self._complement_masks: dict = {}  # s -> order_mask(partial(s))
-        self._join_cache: dict = {}  # mask of partial(a) /\ partial(b) -> a v b
+        self._perm_cache = Memo(self._to_perm)
+        self._from_perm_cache: dict = {}  # by hand: keyed by the one permutation per simple
+        self._from_mask_cache = Memo(self._from_mask)
+        self._complement_masks = Memo(lambda s: self.order_mask(self.complement(s)))
+        self._join_cache = Memo(lambda m: self.complement_inv(self.from_mask(m)))
         self.atoms = tuple(self.from_mask(1 << i) for i in range(n * (n - 1) // 2))
 
     def atom(self, t: int, s: int) -> tuple:
@@ -116,19 +117,19 @@ class BKLStructure(GarsideStructure):
 
     def to_perm(self, s: tuple) -> tuple:
         """Underlying permutation: each block an increasing cycle."""
-        perm = self._perm_cache.get(s)
-        if perm is None:
-            # last[lab] is the latest element of block lab, which maps to the
-            # block's first; a new block starts as a fixed point
-            im = list(range(1, self.n + 1))
-            last: list = []
-            for i, lab in enumerate(s):
-                if lab == len(last):
-                    last.append(i)
-                j, last[lab] = last[lab], i
-                im[i], im[j] = im[j], i + 1
-            perm = self._perm_cache[s] = tuple(im)
-        return perm
+        return self._perm_cache[s]
+
+    def _to_perm(self, s: tuple) -> tuple:
+        # last[lab] is the latest element of block lab, which maps to the
+        # block's first; a new block starts as a fixed point
+        im = list(range(1, self.n + 1))
+        last: list = []
+        for i, lab in enumerate(s):
+            if lab == len(last):
+                last.append(i)
+            j, last[lab] = last[lab], i
+            im[i], im[j] = im[j], i + 1
+        return tuple(im)
 
     def from_perm(self, perm: tuple) -> tuple:
         """Partition whose blocks are the cycles of perm.
@@ -168,9 +169,7 @@ class BKLStructure(GarsideStructure):
 
     def meet_simple(self, a, b):
         # the blockwise meet: its same-block relation is the AND of the two
-        m = self.order_mask(a) & self.order_mask(b)
-        s = self._from_mask_cache.get(m)
-        return s if s is not None else self.from_mask(m)
+        return self._from_mask_cache[self._order_mask_cache[a] & self._order_mask_cache[b]]
 
     def join_simple(self, a, b):
         # a <= c iff partial(c) is a suffix of partial(a), so the join is
@@ -181,15 +180,7 @@ class BKLStructure(GarsideStructure):
         # suffix is the blockwise meet, whose mask is the AND of the masks
         # of the complements.
         masks = self._complement_masks
-        ma, mb = masks.get(a), masks.get(b)
-        if ma is None or mb is None:
-            ma = masks[a] = self.order_mask(self.complement(a))
-            mb = masks[b] = self.order_mask(self.complement(b))
-        m = ma & mb
-        s = self._join_cache.get(m)
-        if s is None:
-            s = self._join_cache[m] = self.complement_inv(self.from_mask(m))
-        return s
+        return self._join_cache[masks[a] & masks[b]]
 
     def from_mask(self, m: int) -> tuple:
         """Partition whose same-block relation is the order mask m.
@@ -198,9 +189,9 @@ class BKLStructure(GarsideStructure):
         partition; within this structure's arithmetic that never happens,
         so it signals a program fault.
         """
-        s = self._from_mask_cache.get(m)
-        if s is not None:
-            return s
+        return self._from_mask_cache[m]
+
+    def _from_mask(self, m: int) -> tuple:
         labels: list = []
         k = 0  # the next free label
         for j in range(self.n):
@@ -212,7 +203,6 @@ class BKLStructure(GarsideStructure):
         s = tuple(labels)
         if not is_noncrossing(s) or self._order_mask(s) != m:
             raise VerificationError("mask is not a non-crossing partition")
-        self._from_mask_cache[m] = s
         return s
 
     def _complement(self, s):

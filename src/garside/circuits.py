@@ -166,7 +166,7 @@ def _summit_bounds(y: GarsideElement) -> tuple:
     minimal rho above rho_b is rho_b, which does not lie above a.
     """
     st = y.structure
-    order_mask = st.order_mask
+    order_mask = st._order_mask_cache.__getitem__  # the memo itself, with no method frame
     y_inv = inverse(y)
     low, done = {}, 0
     for a in st.atoms:
@@ -218,7 +218,7 @@ def indecomposable_conjugators(
     st = y.structure
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
-    order_mask = st.order_mask
+    order_mask = st._order_mask_cache.__getitem__  # the memo itself, with no method frame
     # each atom's order mask is one bit; low[bit] is a lower bound for c_a
     # (rho_a, or below it where its fixpoint stopped early), or c_a once
     # found; todo holds the open atoms whose c_a is not found yet

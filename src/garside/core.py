@@ -14,6 +14,11 @@ inverse pairs of atoms separated only by atoms that commute with them are
 cancelled in one linear pass, the remaining letters are folded into runs
 of simples of one sign, and each run is pushed onto the factor list by a
 right-to-left wave of local slidings.
+
+Every unary fact about a simple is memoised per simple in a :class:`Memo`.
+Four tables are kept by hand, each with its reason at its lookup: the dual
+``from_perm`` memo, the classical join memo, and the render and token
+tables of ``words``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,21 @@ class Budgets(namedtuple("Budgets", "max_vertices max_set_size max_trajectory_st
     __slots__ = ()
 
 
+class Memo(dict):
+    """The memo of one function: reading a missing key computes the value,
+    stores it and returns it.  A compute that raises stores nothing.  Read
+    it by subscript, since ``get`` skips the compute."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 class GarsideStructure:
     """Contract a concrete finite-type Garside structure must satisfy.
 
@@ -75,22 +95,23 @@ class GarsideStructure:
     tau_order: int
 
     def __init__(self) -> None:
-        self._complement_cache: dict = {}
-        self._complement_inv_cache: dict = {}
-        self._tau_cache: dict = {}
-        self._tau_inv_cache: dict = {}
-        self._norm_cache: dict = {}
-        self._order_mask_cache: dict = {}
+        # _complement is looked up on each miss, so perfbench/tracer.py's wrappers see it
+        self._complement_cache = Memo(lambda s: self._complement(s))
+        self._complement_inv_cache = Memo(lambda s: self._complement_inv(s))
+        self._tau_cache = Memo(lambda s: self.complement(self.complement(s)))
+        self._tau_inv_cache = Memo(lambda s: self.complement_inv(self.complement_inv(s)))
+        self._norm_cache = Memo(self._norm)
+        self._order_mask_cache = Memo(self._order_mask)
         self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
         self._token_cache: dict = {}  # sigma or band token -> letters, filled by words.parse_word
         self._atom_index: dict | None = None  # atom -> its index in atoms, built on first use
-        self._commute_cache: dict = {}  # i * len(atoms) + j -> atoms i and j commute
+        self._commute_cache = Memo(self._atoms_commute)  # key i * len(atoms) + j
 
     # -- primitives a subclass must implement ------------------------------
 
     def leq(self, a, b) -> bool:
         """Prefix order a <= b on simples: containment of order masks."""
-        return not self.order_mask(a) & ~self.order_mask(b)
+        return not self._order_mask_cache[a] & ~self._order_mask_cache[b]
 
     def meet_simple(self, a, b):
         """Greatest common prefix of two simples."""
@@ -144,40 +165,19 @@ class GarsideStructure:
     # -- cached unary operations -------------------------------------------
 
     def complement(self, s):
-        r = self._complement_cache.get(s)
-        if r is None:
-            r = self._complement_cache[s] = self._complement(s)
-        return r
+        return self._complement_cache[s]
 
     def complement_inv(self, s):
-        r = self._complement_inv_cache.get(s)
-        if r is None:
-            r = self._complement_inv_cache[s] = self._complement_inv(s)
-        return r
+        return self._complement_inv_cache[s]
 
     def tau(self, s):
-        r = self._tau_cache.get(s)
-        if r is None:
-            r = self._tau_cache[s] = self.complement(self.complement(s))
-        return r
-
-    def tau_inv(self, s):
-        r = self._tau_inv_cache.get(s)
-        if r is None:
-            r = self._tau_inv_cache[s] = self.complement_inv(self.complement_inv(s))
-        return r
+        return self._tau_cache[s]
 
     def norm(self, s) -> int:
-        r = self._norm_cache.get(s)
-        if r is None:
-            r = self._norm_cache[s] = self._norm(s)
-        return r
+        return self._norm_cache[s]
 
     def order_mask(self, s) -> int:
-        r = self._order_mask_cache.get(s)
-        if r is None:
-            r = self._order_mask_cache[s] = self._order_mask(s)
-        return r
+        return self._order_mask_cache[s]
 
     # -- derived operations -------------------------------------------------
 
@@ -187,26 +187,24 @@ class GarsideStructure:
             self._atom_index = {a: i for i, a in enumerate(self.atoms)}
         return self._atom_index
 
-    def atoms_commute(self, i: int, j: int) -> bool:
-        """True iff the distinct atoms i and j (indices into ``atoms``)
-        commute: ab and ba are both simple and equal.  Memoised per pair."""
-        key = i * len(self.atoms) + j
-        r = self._commute_cache.get(key)
-        if r is None:
-            a, b = self.atoms[i], self.atoms[j]
-            r = (self.leq(b, self.complement(a)) and self.leq(a, self.complement(b))
-                 and self.prod(a, b) == self.prod(b, a))
-            self._commute_cache[key] = self._commute_cache[j * len(self.atoms) + i] = r
+    def _atoms_commute(self, key: int) -> bool:
+        """True iff the distinct atoms i and j, key = i * len(atoms) + j,
+        commute: ab and ba are simple and equal.  Stores the other key too."""
+        i, j = divmod(key, len(self.atoms))
+        a, b = self.atoms[i], self.atoms[j]
+        r = self._commute_cache[j * len(self.atoms) + i] = (
+            self.leq(b, self.complement(a)) and self.leq(a, self.complement(b))
+            and self.prod(a, b) == self.prod(b, a))
         return r
 
     def tau_pow(self, s, k: int):
         k %= self.tau_order
         if 2 * k > self.tau_order:
             for _ in range(self.tau_order - k):
-                s = self.tau_inv(s)
+                s = self._tau_inv_cache[s]
         else:
             for _ in range(k):
-                s = self.tau(s)
+                s = self._tau_cache[s]
         return s
 
 
@@ -368,10 +366,7 @@ def _cancel_commuting_pairs(st: GarsideStructure, word: Iterable) -> list:
             h = out[j][2]
             if h == k or h < 0:
                 break
-            c = commute.get(row + h)
-            if c is None:
-                c = st.atoms_commute(k, h)
-            if not c:
+            if not commute[row + h]:
                 break
             j -= 1
         if j >= 0 and out[j][2] == k and out[j][1] == -e:

@@ -87,7 +87,7 @@ def statistics_row(
         max_sss=max(c.sss_size for c in classes),
         max_sc=max(c.sc_size for c in classes),
         max_ratio=max(c.ratio for c in classes),
-        cmean_sss=sum(c.sss_size for c in classes) / k,
+        cmean_sss=total_sss / k,
         cmean_sc=sum(c.sc_size for c in classes) / k,
         cmean_ratio=sum(c.ratio for c in classes) / k,
         emean_sss=sum(c.sss_size * c.sss_size for c in classes) / total_sss,

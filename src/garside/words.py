@@ -50,7 +50,7 @@ def parse_word(st: GarsideStructure, text: str) -> GarsideElement:
     table = st._token_cache
     letters: list = []
     for idx, tok in enumerate(text.split(), start=1):
-        word = table.get(tok)
+        word = table.get(tok)  # by hand: it holds canonical spellings only
         if word is None:
             word = _parse_token(st, tok, idx)
             # D, 1 and permutation literals skip the pattern
@@ -117,7 +117,7 @@ def band_to_sigma_word(t: int, s: int) -> list:
 def render_simple(st: GarsideStructure, s) -> str:
     """A simple element as a word string, canonical per structure.  Each
     simple is rendered once per structure and then read from its cache."""
-    text = st._render_cache.get(s)
+    text = st._render_cache.get(s)  # by hand: core does not import words
     if text is None:
         text = st._render_cache[s] = _render_word(st, s)
     return text

@@ -5,9 +5,11 @@ from itertools import permutations
 
 import pytest
 
+import garside.cli
 from garside.artin import ArtinStructure, _compose, _invert, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
 from garside.core import (
+    Memo,
     _cancel_commuting_pairs,
     _push_factor,
     _push_front,
@@ -21,6 +23,7 @@ from garside.core import (
     power,
 )
 
+from garside.cli import main
 from garside.words import _parse_token, band_to_sigma_word
 
 from conftest import (
@@ -302,14 +305,14 @@ def test_atom_commutation_matches_the_textbook_rules():
         for i in range(n - 1):
             for j in range(n - 1):
                 if i != j:
-                    assert st.atoms_commute(i, j) == (abs(i - j) >= 2)
+                    assert st._commute_cache[i * len(st.atoms) + j] == (abs(i - j) >= 2)
         st = bkl_structure(n)
         bands = [(t, s) for t in range(2, n + 1) for s in range(1, t)]
         assert [st.atom(t, s) for t, s in bands] == list(st.atoms)
         for i, (t, s) in enumerate(bands):
             for j, (r, q) in enumerate(bands):
                 if i != j:
-                    assert st.atoms_commute(i, j) == ((t - r) * (t - q) * (s - r) * (s - q) > 0)
+                    assert st._commute_cache[i * len(st.atoms) + j] == ((t - r) * (t - q) * (s - r) * (s - q) > 0)
 
 
 def test_inverse_closed_formula(rng):
@@ -650,3 +653,33 @@ def test_tau_pow_matches_its_closed_form():
             for s in st.simples():
                 for k in range(-2 * n, 2 * n + 1):
                     assert st.tau_pow(s, k) == tau_pow_closed_form(st, s, k), (st.name, s, k)
+
+
+def test_every_per_simple_memo_is_a_memo_that_holds_its_function(monkeypatch, capsys):
+    """One memo policy: every per-simple memo is a Memo, except the tables
+    kept by hand for the reason each lookup gives.  After a `table` and an
+    `nf` run, each entry equals a fresh computation of its function."""
+    sts = {"artin": ArtinStructure(5), "bkl": BKLStructure(6)}
+    by_hand = {"artin": {"_join_cache", "_render_cache", "_token_cache"},
+               "bkl": {"_from_perm_cache", "_render_cache", "_token_cache"}}
+    for name, st in sts.items():
+        dicts = {a for a, v in vars(st).items() if isinstance(v, dict)}
+        assert {a for a in dicts if not isinstance(getattr(st, a), Memo)} == by_hand[name]
+    monkeypatch.setattr(garside.cli, "artin_structure", lambda n: sts["artin"])
+    monkeypatch.setattr(garside.cli, "bkl_structure", lambda n: sts["bkl"])
+    for name, st in sts.items():
+        for argv in (["table"], ["nf", "s1 s3 s2^-1 s1^-1 s3^-1 D^-1 s4 s2"]):
+            assert main(["--structure", name, "--n", str(st.n), *argv]) == 0
+    capsys.readouterr()
+    for st in sts.values():
+        for attr, memo in vars(st).items():
+            if isinstance(memo, Memo):
+                for key, value in list(memo.items()):
+                    assert memo.compute(key) == value, (st.name, attr, key)
+        for s, t in st._tau_cache.items():
+            assert t == st.complement(st.complement(s))
+        for s, c in st._complement_cache.items():
+            assert st.prod(s, c) == st.delta
+    st = sts["bkl"]
+    for s, m in st._complement_masks.items():
+        assert m == st.order_mask(st.complement(s))

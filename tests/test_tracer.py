@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import garside.cli
+from garside.artin import ArtinStructure
+from garside.bkl import BKLStructure
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,3 +53,29 @@ def test_tracer_installs_runs_a_table_and_restores(monkeypatch, capsys):
                  "core.conjugate_simple", "artin.meet_simple", "artin.lquot"):
         assert calls.get(name, 0) > 0, name
     assert t.counts["classes"] == 9
+
+
+def test_tracer_counts_complement_misses_of_structures_built_before_install(monkeypatch, capsys):
+    """The benchmark worker builds its structures before the tracer wraps
+    the classes, so each complement memo must look up `_complement` on a
+    miss: a compute bound when the structure was built would hide every
+    `*.complement_miss`."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer")
+    artin, bkl = ArtinStructure(4), BKLStructure(4)
+    monkeypatch.setattr(garside.cli, "artin_structure", lambda n: artin)
+    monkeypatch.setattr(garside.cli, "bkl_structure", lambda n: bkl)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for structure in ("artin", "bkl"):
+            assert garside.cli.main(["--structure", structure, "--n", "4", "table"]) == 0
+    finally:
+        t.restore()
+    capsys.readouterr()
+    calls = {}
+    for (name, _), (c, _) in t.aggregates().items():
+        calls[name] = calls.get(name, 0) + c
+    assert calls.get("artin.complement_miss", 0) > 0
+    assert calls.get("bkl.complement_miss", 0) > 0

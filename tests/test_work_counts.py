@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import garside.circuits
+import garside.cli
 from garside.artin import ArtinStructure, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
 from garside.cli import main
@@ -54,8 +55,10 @@ def test_table_n6_work_counts(monkeypatch, capsys):
 
 
 def test_table_bkl_n6_work_counts(monkeypatch, capsys):
-    """`--structure bkl --n 6 table --inf 0`: the joins and left quotients
-    of dual simples, most of them in the rho_a fixpoints."""
+    """`--structure bkl --n 6 table --inf 0` on a fresh structure, so that
+    every memo is cold: the joins and left quotients of dual simples, most
+    of them in the rho_a fixpoints, and one quotient per simple for its
+    complement."""
     counts = dict.fromkeys(("joins", "quotients"), 0)
     join_simple, lquot = BKLStructure.join_simple, BKLStructure.lquot
 
@@ -69,10 +72,12 @@ def test_table_bkl_n6_work_counts(monkeypatch, capsys):
 
     monkeypatch.setattr(BKLStructure, "join_simple", join)
     monkeypatch.setattr(BKLStructure, "lquot", quotient)
+    st = BKLStructure(6)
+    monkeypatch.setattr(garside.cli, "bkl_structure", lambda n: st)
     assert main(["--structure", "bkl", "--n", "6", "--format", "csv", "table", "--inf", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == (
         "bkl,6,0,9,30,30,1,14.4444,14.4444,1,21.2,21.2,1")
-    assert counts == {"joins": 1572, "quotients": 954}
+    assert counts == {"joins": 1572, "quotients": 1086}
 
 
 def _workloads(monkeypatch):
