@@ -101,7 +101,7 @@ class ArtinStructure(GarsideStructure):
         comparable.  Otherwise the join depends only on the union of the two
         inversion sets, so it is memoised by ma | mb; the cache is emptied
         when it holds ``simple_count()`` entries."""
-        ma, mb = self._order_mask_cache[a], self._order_mask_cache[b]
+        ma, mb = self.order_mask[a], self.order_mask[b]
         if not ma & ~mb:
             return b
         if not mb & ~ma:
@@ -152,7 +152,7 @@ class ArtinStructure(GarsideStructure):
         return tuple(out)
 
     def _norm(self, s) -> int:
-        return self.order_mask(s).bit_count()
+        return self.order_mask[s].bit_count()
 
     def _order_mask(self, s) -> int:
         m = 0

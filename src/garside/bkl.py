@@ -25,13 +25,13 @@ partitions.  The order mask of a partition is its same-block relation: bit
 `_band_index(t, s)` is set iff s and t share a block, so the atom a_{t,s}
 is its own bit and a <= b iff a's mask is a subset of b's.  The meet is
 the blockwise meet, whose relation is the intersection of the two: one AND
-of the masks, decoded to labels through a per-mask cache that checks each
-decoded partition once.  The join is partial^-1 of the meet of the
-complements, so it ANDs the masks of the two complements and reads
-partial^-1 of the result from a second per-mask cache.  Every cache is
-keyed by simples or by their masks, so each holds at most Catalan(n)
-entries.  Each is a core ``Memo``, except the from_perm memo: it is keyed
-by the one permutation object per simple, so it is kept by hand.
+of the masks, decoded by the memo ``from_mask``, read by subscript, which
+checks each decoded partition once.  The join is partial^-1 of the meet of
+the complements, so it ANDs the masks of the two complements and reads
+partial^-1 of the result from a second per-mask memo.  Every memo is keyed
+by simples or by their masks, so each holds at most Catalan(n) entries.
+Each is a core ``Memo``, except the from_perm memo: it is keyed by the one
+permutation object per simple, so it is kept by hand.
 """
 
 from __future__ import annotations
@@ -98,16 +98,16 @@ class BKLStructure(GarsideStructure):
         self.tau_order = n
         self._perm_cache = Memo(self._to_perm)
         self._from_perm_cache: dict = {}  # by hand: keyed by the one permutation per simple
-        self._from_mask_cache = Memo(self._from_mask)
-        self._complement_masks = Memo(lambda s: self.order_mask(self.complement(s)))
-        self._join_cache = Memo(lambda m: self.complement_inv(self.from_mask(m)))
-        self.atoms = tuple(self.from_mask(1 << i) for i in range(n * (n - 1) // 2))
+        self.from_mask = Memo(self._from_mask)
+        self._complement_masks = Memo(lambda s: self.order_mask[self.complement(s)])
+        self._join_cache = Memo(lambda m: self.complement_inv(self.from_mask[m]))
+        self.atoms = tuple(self.from_mask[1 << i] for i in range(n * (n - 1) // 2))
 
     def atom(self, t: int, s: int) -> tuple:
         """The band generator a_{t,s} as a partition (block {s,t})."""
         if not 1 <= s < t <= self.n:
             raise ValueError(f"band indices ({t},{s}) out of range for {self.name}")
-        return self.from_mask(1 << _band_index(t, s))
+        return self.from_mask[1 << _band_index(t, s)]
 
     # -- permutation view ---------------------------------------------------
     # Memoised both ways, with one permutation object per simple: from_perm
@@ -169,7 +169,7 @@ class BKLStructure(GarsideStructure):
 
     def meet_simple(self, a, b):
         # the blockwise meet: its same-block relation is the AND of the two
-        return self._from_mask_cache[self._order_mask_cache[a] & self._order_mask_cache[b]]
+        return self.from_mask[self.order_mask[a] & self.order_mask[b]]
 
     def join_simple(self, a, b):
         # a <= c iff partial(c) is a suffix of partial(a), so the join is
@@ -182,16 +182,13 @@ class BKLStructure(GarsideStructure):
         masks = self._complement_masks
         return self._join_cache[masks[a] & masks[b]]
 
-    def from_mask(self, m: int) -> tuple:
+    def _from_mask(self, m: int) -> tuple:
         """Partition whose same-block relation is the order mask m.
 
         Raises VerificationError unless m is the mask of a non-crossing
         partition; within this structure's arithmetic that never happens,
         so it signals a program fault.
         """
-        return self._from_mask_cache[m]
-
-    def _from_mask(self, m: int) -> tuple:
         labels: list = []
         k = 0  # the next free label
         for j in range(self.n):

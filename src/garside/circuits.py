@@ -93,7 +93,7 @@ def _tau_orbit(y: GarsideElement) -> list:
     orbit = [y]
     factors = y.factors
     while True:
-        factors = tuple(st.tau(f) for f in factors)
+        factors = tuple(st.tau[f] for f in factors)
         if factors == y.factors:
             return orbit
         orbit.append(GarsideElement(st, y.p, factors))
@@ -138,7 +138,7 @@ class _SCMembership:
 
 def _minimal(st: GarsideStructure, simples: list) -> list:
     """The distinct <=-minimal simples of a list, in order of first appearance."""
-    masks = {st.order_mask(c): c for c in simples}
+    masks = {st.order_mask[c]: c for c in simples}
     return [c for m, c in masks.items()
             if not any(m2 != m and not m2 & ~m for m2 in masks)]
 
@@ -166,11 +166,11 @@ def _summit_bounds(y: GarsideElement) -> tuple:
     minimal rho above rho_b is rho_b, which does not lie above a.
     """
     st = y.structure
-    order_mask = st._order_mask_cache.__getitem__  # the memo itself, with no method frame
+    order_mask = st.order_mask
     y_inv = inverse(y)
     low, done = {}, 0
     for a in st.atoms:
-        bit = order_mask(a)
+        bit = order_mask[a]
         c, nxt, hits = None, a, 0
         while nxt != c and not hits:
             c = nxt
@@ -179,12 +179,12 @@ def _summit_bounds(y: GarsideElement) -> tuple:
                 for f in z.factors:
                     t = st.lquot(f, st.join_simple(f, t))
                 nxt = st.join_simple(nxt, t)
-                if hits := order_mask(nxt) & done:
+                if hits := order_mask[nxt] & done:
                     break
         if nxt != c:
             # b <= rho_a, so rho_b <= rho_a, with equality iff a <= rho_b
             rho_b = low[hits & -hits]
-            if not order_mask(rho_b) & bit:
+            if not order_mask[rho_b] & bit:
                 low[bit] = st.join_simple(nxt, rho_b)
                 continue
             c = rho_b
@@ -218,23 +218,23 @@ def indecomposable_conjugators(
     st = y.structure
     if not member(y):
         raise VerificationError("element is not in the set; conjugator search undefined")
-    order_mask = st._order_mask_cache.__getitem__  # the memo itself, with no method frame
+    order_mask = st.order_mask
     # each atom's order mask is one bit; low[bit] is a lower bound for c_a
     # (rho_a, or below it where its fixpoint stopped early), or c_a once
     # found; todo holds the open atoms whose c_a is not found yet
     low, rhos = _summit_bounds(y)
-    atoms = [(order_mask(a), a) for a in st.atoms]
+    atoms = [(order_mask[a], a) for a in st.atoms]
     atom_bits = sum(low)
     todo = sum(b for b, c in low.items() if c in rhos)
 
     def close(s):
-        m, checked = order_mask(s), 0
+        m, checked = order_mask[s], 0
         while bits := m & atom_bits & ~checked:
             b = bits & -bits
             checked |= b
-            if order_mask(low[b]) & ~m:
+            if order_mask[low[b]] & ~m:
                 s = st.join_simple(s, low[b])
-                m = order_mask(s)
+                m = order_mask[s]
         return s
 
     heap, seen, found = [], set(), {}
@@ -246,13 +246,13 @@ def indecomposable_conjugators(
                 raise BudgetExceeded(
                     f"arrow search exceeded {budgets.max_set_size} simples")
             seen.add(s)
-            heapq.heappush(heap, (st.norm(s), s))
+            heapq.heappush(heap, (st.norm[s], s))
 
     for c in rhos:
         push(c)
     while todo and heap:
         s = heapq.heappop(heap)[1]
-        open_ = order_mask(s) & todo
+        open_ = order_mask[s] & todo
         if not open_:
             continue
         if (c := close(s)) != s:
@@ -262,7 +262,7 @@ def indecomposable_conjugators(
             found[s] = z
             todo &= ~open_
         else:
-            room = order_mask(st.complement(s))
+            room = order_mask[st.complement(s)]
             for b, t in atoms:
                 if room & b:
                     push(st.prod(s, t))
@@ -369,7 +369,7 @@ def _class_invariants(x: GarsideElement) -> tuple:
     its cycle lengths.
     """
     st = x.structure
-    exponent = x.p * st.norm_of_delta + sum(map(st.norm, x.factors))
+    exponent = x.p * st.norm_of_delta + sum(st.norm[f] for f in x.factors)
     perm = st.to_perm(st.trivial)
     for s in (st.delta,) * (x.p % st.tau_order) + x.factors:
         q = st.to_perm(s)

@@ -16,9 +16,11 @@ of simples of one sign, and each run is pushed onto the factor list by a
 right-to-left wave of local slidings.
 
 Every unary fact about a simple is memoised per simple in a :class:`Memo`.
-Four tables are kept by hand, each with its reason at its lookup: the dual
-``from_perm`` memo, the classical join memo, and the render and token
-tables of ``words``.
+``tau``, ``tau_inv``, ``norm``, ``order_mask`` and the dual ``from_mask``
+are memos read by subscript (``st.tau[s]``); ``complement`` stays a method,
+as perfbench/tracer.py wraps it by name.  Four tables are kept by hand, each
+with its reason at its lookup: the dual ``from_perm`` memo, the classical
+join memo, and the render and token tables of ``words``.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ class GarsideStructure:
 
     Subclasses provide the primitive operations on simple elements; this
     base class supplies derived operations (complement and tau powers) and
-    small memo caches for the hot unary operations.
+    memos of the hot unary operations.  ``tau``, ``tau_inv``, ``norm`` and
+    ``order_mask`` are Memos read by subscript; ``complement`` and
+    ``complement_inv`` are methods, because perfbench/tracer.py wraps them.
 
     The prefix order is read off ``order_mask``: each simple has an int
     mask, such that a <= b iff every bit of a's mask is set in b's.  The
-    subclass computes it in ``_order_mask`` and the base class memoises it
-    per simple, so a cache holds at most ``simple_count()`` entries.
+    subclass computes it in ``_order_mask``.
 
     Attributes that subclasses must set: ``name``, ``atoms`` (tuple of
     simples, fixed order), ``delta``, ``trivial``, ``norm_of_delta`` and
@@ -98,20 +101,20 @@ class GarsideStructure:
         # _complement is looked up on each miss, so perfbench/tracer.py's wrappers see it
         self._complement_cache = Memo(lambda s: self._complement(s))
         self._complement_inv_cache = Memo(lambda s: self._complement_inv(s))
-        self._tau_cache = Memo(lambda s: self.complement(self.complement(s)))
-        self._tau_inv_cache = Memo(lambda s: self.complement_inv(self.complement_inv(s)))
-        self._norm_cache = Memo(self._norm)
-        self._order_mask_cache = Memo(self._order_mask)
+        self.tau = Memo(lambda s: self.complement(self.complement(s)))
+        self.tau_inv = Memo(lambda s: self.complement_inv(self.complement_inv(s)))
+        self.norm = Memo(self._norm)
+        self.order_mask = Memo(self._order_mask)
         self._render_cache: dict = {}  # simple -> word string, filled by words.render_simple
         self._token_cache: dict = {}  # sigma or band token -> letters, filled by words.parse_word
-        self._atom_index: dict | None = None  # atom -> its index in atoms, built on first use
+        self.atom_index = Memo(lambda s: self.atoms.index(s) if s in self.atoms else -1)
         self._commute_cache = Memo(self._atoms_commute)  # key i * len(atoms) + j
 
     # -- primitives a subclass must implement ------------------------------
 
     def leq(self, a, b) -> bool:
         """Prefix order a <= b on simples: containment of order masks."""
-        return not self._order_mask_cache[a] & ~self._order_mask_cache[b]
+        return not self.order_mask[a] & ~self.order_mask[b]
 
     def meet_simple(self, a, b):
         """Greatest common prefix of two simples."""
@@ -170,22 +173,7 @@ class GarsideStructure:
     def complement_inv(self, s):
         return self._complement_inv_cache[s]
 
-    def tau(self, s):
-        return self._tau_cache[s]
-
-    def norm(self, s) -> int:
-        return self._norm_cache[s]
-
-    def order_mask(self, s) -> int:
-        return self._order_mask_cache[s]
-
     # -- derived operations -------------------------------------------------
-
-    def atom_index(self) -> dict:
-        """Map from each atom to its index in ``atoms``, built on first use."""
-        if self._atom_index is None:
-            self._atom_index = {a: i for i, a in enumerate(self.atoms)}
-        return self._atom_index
 
     def _atoms_commute(self, key: int) -> bool:
         """True iff the distinct atoms i and j, key = i * len(atoms) + j,
@@ -201,10 +189,10 @@ class GarsideStructure:
         k %= self.tau_order
         if 2 * k > self.tau_order:
             for _ in range(self.tau_order - k):
-                s = self._tau_inv_cache[s]
+                s = self.tau_inv[s]
         else:
             for _ in range(k):
-                s = self._tau_cache[s]
+                s = self.tau[s]
         return s
 
 
@@ -280,7 +268,7 @@ def _push_factor(st: GarsideStructure, fs: list, c) -> int:
     d = 0
     if fs[i] == st.delta:
         del fs[i]
-        fs[:i] = [st.tau(f) for f in fs[:i]]
+        fs[:i] = [st.tau[f] for f in fs[:i]]
         d = 1
     if fs and fs[-1] == st.trivial:
         del fs[-1]
@@ -354,12 +342,12 @@ def _cancel_commuting_pairs(st: GarsideStructure, word: Iterable) -> list:
     :func:`_letter_runs` unchanged.  Returns the kept letters as
     (simple, exponent, atom index or -1) triples.
     """
-    index = st.atom_index()
+    index = st.atom_index
     commute = st._commute_cache
     na = len(st.atoms)
     out: list = []
     for s, e in word:
-        k = index.get(s, -1) if e == 1 or e == -1 else -1
+        k = index[s] if e == 1 or e == -1 else -1
         row = k * na
         j = len(out) - 1 if k >= 0 else -1
         while j >= 0:

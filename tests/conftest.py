@@ -100,7 +100,7 @@ def stepwise_push_factor(st, fs, c):
     if c == st.trivial:
         return 0
     if c == st.delta:
-        fs[:] = [st.tau(f) for f in fs]
+        fs[:] = [st.tau[f] for f in fs]
         return 1
     fs.append(c)
     i = len(fs) - 2

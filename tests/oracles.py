@@ -168,7 +168,7 @@ class ReverseStructure(GarsideStructure):
         return base.complement_inv(base.prod(s, base.complement(b)))
 
     def _norm(self, s) -> int:
-        return self.base.norm(s)
+        return self.base.norm[s]
 
     def simples(self) -> tuple:
         return self.base.simples()
@@ -408,7 +408,7 @@ def rescanning_simple_to_word(st, s) -> list:
     for i, v in enumerate(cur):
         pos[v - 1] = i
     out: list = []
-    remaining = st.norm(s)
+    remaining = st.norm[s]
     while remaining:
         for k in range(1, n):
             i, j = pos[k], pos[k - 1]  # positions of k+1 and k
@@ -592,7 +592,7 @@ def summit_conjugators(y: GarsideElement) -> tuple:
                 for f in z.factors:
                     t = st.lquot(f, st.join_simple(f, t))
                 nxt = st.join_simple(nxt, t)
-        rho[st.order_mask(a)] = c
+        rho[st.order_mask[a]] = c
     minimal = []
     for c in rho.values():
         if c not in minimal and not any(d != c and st.leq(d, c) for d in rho.values()):

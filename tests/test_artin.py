@@ -38,7 +38,7 @@ def test_delta_as_staircase_word():
         for i in range(1, n):
             word += list(range(i, 0, -1))
         assert word_to_simple(st, word) == st.delta
-        assert st.norm(st.delta) == len(word)
+        assert st.norm[st.delta] == len(word)
 
 
 def test_prefix_test_against_generic_definition():
@@ -75,17 +75,17 @@ def test_complement_and_tau():
     st = artin_structure(4)
     assert st.complement(st.delta) == st.trivial
     assert st.complement(st.trivial) == st.delta
-    assert st.tau(st.atom(1)) == st.atom(3)
+    assert st.tau[st.atom(1)] == st.atom(3)
     # tau is conjugation by Delta and also the strand relabeling
     from garside.core import conjugate
     from garside.core import delta_power
 
     d = delta_power(st, 1)
     for s in st.simples():
-        assert from_simple(st, st.tau(s)) == conjugate(from_simple(st, s), d)
+        assert from_simple(st, st.tau[s]) == conjugate(from_simple(st, s), d)
         relabeled = tuple(st.n + 1 - s[st.n - 1 - i] for i in range(st.n))
-        assert st.tau(s) == relabeled
-        assert st.tau(st.tau(s)) == s
+        assert st.tau[s] == relabeled
+        assert st.tau[st.tau[s]] == s
 
 
 def test_contract_invariants_exhaustive():
@@ -93,8 +93,8 @@ def test_contract_invariants_exhaustive():
         st = artin_structure(n)
         for s in st.simples():
             assert st.prod(s, st.complement(s)) == st.delta
-            assert st.complement(st.complement(s)) == st.tau(s)
-            assert st.norm(s) + st.norm(st.complement(s)) == st.norm_of_delta
+            assert st.complement(st.complement(s)) == st.tau[s]
+            assert st.norm[s] + st.norm[st.complement(s)] == st.norm_of_delta
             assert st.complement_inv(st.complement(s)) == s
 
 
@@ -103,7 +103,7 @@ def test_word_round_trip():
         st = artin_structure(n)
         for s in st.simples():
             word = st.simple_to_word(s)
-            assert len(word) == st.norm(s) == inversions(s)
+            assert len(word) == st.norm[s] == inversions(s)
             assert word_to_simple(st, word) == s
 
 
@@ -190,9 +190,9 @@ def test_order_mask_cache_holds_at_most_the_simples(capsys):
     assert main(["--n", "5", "table"]) == 0
     capsys.readouterr()
     st = artin_structure(5)
-    assert 0 < len(st._order_mask_cache) <= st.simple_count()
+    assert 0 < len(st.order_mask) <= st.simple_count()
     for s in st.simples():
-        assert st.order_mask(s).bit_count() == inversions(s)
+        assert st.order_mask[s].bit_count() == inversions(s)
 
 
 def test_join_cache_matches_oracle_cold_warm_and_after_eviction(monkeypatch):

@@ -147,7 +147,7 @@ def test_one_pass_conversions_match_block_oracles():
             assert st.to_perm(s) == perm
             assert st.from_perm(perm) == s == cycle_partition(perm)
             assert st._order_mask(s) == mask
-            assert st.from_mask(mask) == s
+            assert st.from_mask[mask] == s
         for t in range(2, n + 1):
             for u in range(1, t):
                 raw = list(range(n))
@@ -173,10 +173,10 @@ def test_decoders_refuse_what_is_not_a_simple():
             masks = {block_mask(s): s for s in st.simples()}
             for m in range(1 << n * (n - 1) // 2):
                 if m in masks:
-                    assert st.from_mask(m) == masks[m]
+                    assert st.from_mask[m] == masks[m]
                 else:
                     with pytest.raises(VerificationError):
-                        st.from_mask(m)
+                        st.from_mask[m]
     with pytest.raises(VerificationError):
         BKLStructure(3).from_perm((3, 1, 2))  # the cycle 1 -> 3 -> 2 falls
 
@@ -209,8 +209,8 @@ def test_kreweras_complement_properties():
         st = bkl_structure(n)
         for s in st.simples():
             assert st.prod(s, st.complement(s)) == st.delta
-            assert st.complement(st.complement(s)) == st.tau(s)
-            assert st.norm(s) + st.norm(st.complement(s)) == st.norm_of_delta
+            assert st.complement(st.complement(s)) == st.tau[s]
+            assert st.norm[s] + st.norm[st.complement(s)] == st.norm_of_delta
             assert st.complement_inv(st.complement(s)) == s
             assert st.tau_pow(s, st.tau_order) == s
 
@@ -222,7 +222,7 @@ def test_tau_is_delta_conjugation():
         st = bkl_structure(n)
         d = delta_power(st, 1)
         for s in st.simples():
-            assert from_simple(st, st.tau(s)) == conjugate(from_simple(st, s), d)
+            assert from_simple(st, st.tau[s]) == conjugate(from_simple(st, s), d)
 
 
 def test_refinement_is_the_prefix_order():
@@ -291,7 +291,7 @@ def test_block_cycle_round_trip():
         st = bkl_structure(n)
         for s in st.simples():
             assert st.from_perm(st.to_perm(s)) == s
-            assert st.norm(s) == n - len(blocks_of(s))
+            assert st.norm[s] == n - len(blocks_of(s))
 
 
 def test_band_word_round_trip():
@@ -299,7 +299,7 @@ def test_band_word_round_trip():
         st = bkl_structure(n)
         for s in st.simples():
             bands = st.simple_to_bands(s)
-            assert len(bands) == st.norm(s)
+            assert len(bands) == st.norm[s]
             rebuilt = st.trivial
             for t, u in bands:
                 rebuilt = st.prod(rebuilt, st.atom(t, u))
@@ -389,9 +389,9 @@ def test_from_perm_checks_survive_filled_caches(capsys):
     open_chain = 1 << _band_index(2, 1) | 1 << _band_index(3, 2)
     for mask in (crossing_mask, open_chain):
         with pytest.raises(VerificationError):
-            st.from_mask(mask)
-        assert mask not in st._from_mask_cache
+            st.from_mask[mask]
+        assert mask not in st.from_mask
     for cache in (st._perm_cache, st._from_perm_cache,
-                  st._order_mask_cache, st._from_mask_cache,
+                  st.order_mask, st.from_mask,
                   st._complement_masks, st._join_cache):
         assert 0 < len(cache) <= st.simple_count()

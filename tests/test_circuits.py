@@ -162,7 +162,7 @@ def test_summit_conjugators_are_least_above_each_atom(rng):
                         d != c and st.leq(d, c) for d in least.values()):
                     minimal.append(c)
             rho, oracle_minimal = summit_conjugators(y)
-            assert rho == {st.order_mask(a): least[a] for a in st.atoms}
+            assert rho == {st.order_mask[a]: least[a] for a in st.atoms}
             assert oracle_minimal == minimal
             assert _summit_bounds(y)[1] == minimal
             shared = sum(c in minimal for c in least.values()) > len(minimal)
@@ -205,7 +205,7 @@ def test_summit_bounds_match_full_fixpoints():
         assert rhos == minimal
         assert low.keys() == rho.keys()
         for a in st.atoms:
-            m = st.order_mask(a)
+            m = st.order_mask[a]
             if rho[m] in minimal:
                 assert low[m] == rho[m]
             else:
@@ -368,10 +368,10 @@ def test_indecomposable_conjugators_match_scan_on_every_vertex(monkeypatch):
             assert got == scan_indecomposable_conjugators(y, member)
             for c, z in pairs:
                 assert z == conjugate_simple(y, c) and member(z)
-            keys = [(st.norm(s), s) for s in tested]
+            keys = [(st.norm[s], s) for s in tested]
             assert keys == sorted(set(keys))
             bounds, rhos = _summit_bounds(y)
-            low = {a: bounds[st.order_mask(a)] for a in st.atoms}
+            low = {a: bounds[st.order_mask[a]] for a in st.atoms}
             open_atoms = {a for a in st.atoms if low[a] in rhos}
             found = set()
             for s in tested:
@@ -444,7 +444,7 @@ def word_invariants(st, word):
     exponent = 0
     perm = list(range(1, st.n + 1))
     for s, e in word:
-        exponent += e * st.norm(s)
+        exponent += e * st.norm[s]
         q = st.to_perm(s)
         if e < 0:
             q = [q.index(i) + 1 for i in range(1, st.n + 1)]
@@ -919,11 +919,11 @@ def test_summit_conjugators_and_arrows_move_with_tau():
             orbit_sizes.add(len(_tau_orbit(y)))
             rho, ty_rho = summit_conjugators(y)[0], summit_conjugators(ty)[0]
             for a in st.atoms:
-                assert ty_rho[st.order_mask(st.tau(a))] == \
-                    st.tau(rho[st.order_mask(a)])
-            assert set(_summit_bounds(ty)[1]) == {st.tau(c) for c in _summit_bounds(y)[1]}
+                assert ty_rho[st.order_mask[st.tau[a]]] == \
+                    st.tau[rho[st.order_mask[a]]]
+            assert set(_summit_bounds(ty)[1]) == {st.tau[c] for c in _summit_bounds(y)[1]}
             assert [c for c, _ in indecomposable_conjugators(ty, member)] == \
-                sorted(st.tau(c) for c, _ in indecomposable_conjugators(y, member))
+                sorted(st.tau[c] for c, _ in indecomposable_conjugators(y, member))
     assert orbit_sizes >= {2, 4, 6}
 
 

@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ import garside.cli
 from garside.artin import ArtinStructure, _compose, _invert, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
 from garside.core import (
+    GarsideStructure,
     Memo,
     _cancel_commuting_pairs,
     _push_factor,
@@ -440,7 +442,7 @@ def test_right_meet_agrees_with_brute_force_suffixes():
                 s for s in simples
                 if suffix_leq(st, s, a) and suffix_leq(st, s, b)
             ]
-            best = max(common, key=st.norm)
+            best = max(common, key=st.norm.__getitem__)
             # the maximum is unique: everything else divides it
             assert all(suffix_leq(st, s, best) for s in common)
             assert right_meet_simple(st, a, b) == best
@@ -458,8 +460,8 @@ def test_simple_lattice_laws_exhaustive():
                 assert st.leq(m, a) and st.leq(m, b)
                 # greatest: any common prefix divides the meet
                 assert st.meet_simple(a, a) == a
-                assert st.tau(st.meet_simple(a, b)) == \
-                    st.meet_simple(st.tau(a), st.tau(b))
+                assert st.tau[st.meet_simple(a, b)] == \
+                    st.meet_simple(st.tau[a], st.tau[b])
         for a in simples:
             for b in simples:
                 for c in (simples[0], simples[len(simples) // 2], simples[-1]):
@@ -497,8 +499,8 @@ def test_reverse_structure_contract():
         rev = ReverseStructure(base)
         for s in rev.simples():
             assert rev.prod(s, rev.complement(s)) == rev.delta
-            assert rev.complement(rev.complement(s)) == rev.tau(s)
-            assert rev.norm(s) + rev.norm(rev.complement(s)) == rev.norm_of_delta
+            assert rev.complement(rev.complement(s)) == rev.tau[s]
+            assert rev.norm[s] + rev.norm[rev.complement(s)] == rev.norm_of_delta
         for a in rev.simples():
             for b in rev.simples():
                 m = rev.meet_simple(a, b)
@@ -541,7 +543,7 @@ def test_norm_additivity_on_positive_words(rng):
             word = [(rng.choice(st.atoms), 1) for _ in range(length)]
             x = left_normal_form(st, word)
             assert x.inf >= 0
-            assert sum(st.norm(f) for f in x.factors) + x.inf * st.norm_of_delta \
+            assert sum(st.norm[f] for f in x.factors) + x.inf * st.norm_of_delta \
                 == length
 
 
@@ -602,7 +604,7 @@ def test_delta_leaves_the_wave_after_one_meet(monkeypatch):
         fs = list(x.factors)
         assert _push_factor(st, fs, st.complement(x.factors[-1])) == 1
         assert calls[0] == 1
-        assert fs == [st.tau(f) for f in x.factors[:-1]]
+        assert fs == [st.tau[f] for f in x.factors[:-1]]
 
 
 def test_conjugate_simple_takes_fewer_meets_than_the_rebuild(monkeypatch):
@@ -657,14 +659,26 @@ def test_tau_pow_matches_its_closed_form():
 
 def test_every_per_simple_memo_is_a_memo_that_holds_its_function(monkeypatch, capsys):
     """One memo policy: every per-simple memo is a Memo, except the tables
-    kept by hand for the reason each lookup gives.  After a `table` and an
-    `nf` run, each entry equals a fresh computation of its function."""
+    kept by hand for the reason each lookup gives.  tau, tau_inv, norm,
+    order_mask and the dual from_mask are the instance memos themselves,
+    with no method of the same name on any structure class (an instance
+    memo would hide one that came back), and no module of the package
+    reads a memo through __getitem__.  After a `table` and an `nf` run,
+    each entry equals a fresh computation of its function."""
     sts = {"artin": ArtinStructure(5), "bkl": BKLStructure(6)}
     by_hand = {"artin": {"_join_cache", "_render_cache", "_token_cache"},
                "bkl": {"_from_perm_cache", "_render_cache", "_token_cache"}}
+    subscripted = {"artin": {"tau", "tau_inv", "norm", "order_mask"},
+                   "bkl": {"tau", "tau_inv", "norm", "order_mask", "from_mask"}}
     for name, st in sts.items():
         dicts = {a for a, v in vars(st).items() if isinstance(v, dict)}
         assert {a for a in dicts if not isinstance(getattr(st, a), Memo)} == by_hand[name]
+        assert all(isinstance(vars(st).get(a), Memo) for a in subscripted[name]), name
+    for cls in (GarsideStructure, ArtinStructure, BKLStructure):
+        assert subscripted["bkl"].isdisjoint(vars(cls)), cls.__name__
+    package = Path(garside.cli.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "__getitem__" in p.read_text()] == []
     monkeypatch.setattr(garside.cli, "artin_structure", lambda n: sts["artin"])
     monkeypatch.setattr(garside.cli, "bkl_structure", lambda n: sts["bkl"])
     for name, st in sts.items():
@@ -676,10 +690,10 @@ def test_every_per_simple_memo_is_a_memo_that_holds_its_function(monkeypatch, ca
             if isinstance(memo, Memo):
                 for key, value in list(memo.items()):
                     assert memo.compute(key) == value, (st.name, attr, key)
-        for s, t in st._tau_cache.items():
+        for s, t in st.tau.items():
             assert t == st.complement(st.complement(s))
         for s, c in st._complement_cache.items():
             assert st.prod(s, c) == st.delta
     st = sts["bkl"]
     for s, m in st._complement_masks.items():
-        assert m == st.order_mask(st.complement(s))
+        assert m == st.order_mask[st.complement(s)]

@@ -11,7 +11,7 @@ import random
 
 from garside.artin import ArtinStructure, artin_structure
 from garside.bkl import bkl_structure
-from garside.circuits import _class_invariants, solve_csp
+from garside.circuits import _class_invariants, _tau_orbit, compute_scg, solve_csp
 from garside.core import conjugate
 from garside.sliding import slide_to_circuit
 from garside.words import band_to_sigma_word, parse_word
@@ -68,25 +68,83 @@ def cross_pairs(seed=44):
     return pairs
 
 
+def check_pair(xs, ys):
+    """Checks that both structures agree on the pair (x, y), each parsed in
+    both: the normal forms, sent to the other structure as sigma words and
+    back, the class invariants, the conjugacy answer and each witness, read
+    in the other structure.  Returns True iff x and y are conjugate."""
+    for pair in (xs, ys):
+        for e, other in (pair, pair[::-1]):
+            there = parse_word(other.structure, sigma_text(e))
+            assert there == other
+            assert parse_word(e.structure, sigma_text(there)) == e
+    invariants = [(_class_invariants(x), _class_invariants(y)) for x, y in zip(xs, ys)]
+    assert invariants[0] == invariants[1]
+    answers = [solve_csp(x, y) for x, y in zip(xs, ys)]
+    assert (answers[0] is None) == (answers[1] is None)
+    if answers[0] is None:
+        return False
+    # each witness conjugates x to y in the other structure
+    for witness, x, y in zip(answers, xs[::-1], ys[::-1]):
+        assert conjugate(x, parse_word(x.structure, sigma_text(witness.conjugator))) == y
+    return True
+
+
 def test_both_structures_give_the_same_answers():
     hard_no = 0
     for xs, ys, planted in cross_pairs():
-        # normal forms: to the other structure as sigma words, and back
-        for pair in (xs, ys):
-            for e, other in (pair, pair[::-1]):
-                there = parse_word(other.structure, sigma_text(e))
-                assert there == other
-                assert parse_word(e.structure, sigma_text(there)) == e
-        invariants = [(_class_invariants(x), _class_invariants(y)) for x, y in zip(xs, ys)]
-        assert invariants[0] == invariants[1]
-        answers = [solve_csp(x, y) for x, y in zip(xs, ys)]
-        assert (answers[0] is None) == (answers[1] is None)
-        assert answers[0] is not None or not planted
-        if answers[0] is not None:
-            # each witness conjugates x to y in the other structure
-            for witness, x, y in zip(answers, xs[::-1], ys[::-1]):
-                assert conjugate(x, parse_word(x.structure, sigma_text(witness.conjugator))) == y
-        elif invariants[0][0] == invariants[0][1] and all(
+        if check_pair(xs, ys):
+            continue
+        assert not planted
+        if _class_invariants(xs[0]) == _class_invariants(ys[0]) and all(
                 summit_invariants(x) == summit_invariants(y) for x, y in zip(xs, ys)):
             hard_no += 1
     assert hard_no >= 30
+
+
+def circuit_targets(y):
+    """The states of the circuit y slides to and their tau-images: the
+    targets solve_csp walks the graph for."""
+    traj = slide_to_circuit(y)[1]
+    return {t for s in traj.states[traj.entry_index:] for t in _tau_orbit(s)}
+
+
+def deepest_vertex(x):
+    """The vertex v of the sliding circuits graph of x whose circuit and
+    tau-images the walk from x meets last: the earliest of them in the order
+    the walk finds vertices is as late as it can be."""
+    order = {v: i for i, v in enumerate(compute_scg(x).parent)}
+    met: dict = {}
+    for v in order:
+        if v not in met:
+            group = circuit_targets(v)
+            met.update(dict.fromkeys(group, min(order[t] for t in group)))
+    return max(order, key=met.__getitem__)
+
+
+def deep_pairs(seed=51):
+    """Planted YES pairs whose targets lie deep in the graph, as triples
+    (xs, ys, k): for 20 fixed-seed classes each of classical B_5 and dual
+    B_5 and B_6, x is a mixed-sign word of 12 letters and y = v^w, v the
+    deepest vertex of the class in that structure, sts[k], and w a
+    mixed-sign word of 2 letters; x and y are parsed in both structures."""
+    rng = random.Random(seed)
+    for n, k in ((5, 0), (5, 1), (6, 1)):
+        sts = (artin_structure(n), bkl_structure(n))
+        for _ in range(20):
+            word = spell([(rng.randrange(1, n), rng.choice((1, 1, -1))) for _ in range(12)])
+            w = [(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(2)]
+            v = deepest_vertex(parse_word(sts[k], word))
+            text = " ".join((spell([(i, -e) for i, e in reversed(w)]), sigma_text(v), spell(w)))
+            yield [parse_word(st, word) for st in sts], [parse_word(st, text) for st in sts], k
+
+
+def test_planted_pairs_deep_in_the_graph_get_the_same_answers():
+    """Every planted pair is found conjugate by both structures, and at
+    least 10 of the 60 walks, each as long as the solver's walk in the
+    structure that chose v, pass 10 vertices or more before a target."""
+    walks = []
+    for xs, ys, k in deep_pairs():
+        assert check_pair(xs, ys)
+        walks.append(len(compute_scg(xs[k], targets=circuit_targets(ys[k])).parent))
+    assert sum(walked >= 10 for walked in walks) >= 10, walks

@@ -110,7 +110,7 @@ def test_preferred_prefix_symmetries(rng):
             assert preferred_prefix(x) == preferred_prefix(inverse(x))
             assert cyclic_sliding(inverse(x)) == inverse(cyclic_sliding(x))
             tx = conjugate(x, delta_power(st, 1))
-            assert preferred_prefix(tx) == st.tau(preferred_prefix(x))
+            assert preferred_prefix(tx) == st.tau[preferred_prefix(x)]
             assert cyclic_sliding(tx) == conjugate(cyclic_sliding(x), delta_power(st, 1))
             count += 1
     assert count >= 1000
