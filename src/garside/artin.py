@@ -22,9 +22,6 @@ before the first j in `order` with a[i] < a[j] or b[i] < b[j], or at the end
 if there is none.  The join is the same pass with inversions for
 non-inversions: `>` for `<`, building the order of decreasing values; it
 first returns one argument when the two are comparable, two mask tests.
-The join's inversion set is the transitive closure of the union of the
-two, so the join of a non-comparable pair is memoised by the union of
-their masks, in a cache of at most ``simple_count()`` entries.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ class ArtinStructure(GarsideStructure):
         self.norm_of_delta = n * (n - 1) // 2
         self.tau_order = 2
         self.atoms = tuple(self.atom(k) for k in range(1, n))
-        self._join_cache: dict = {}  # by hand: keyed by ma | mb of a pair, emptied when full
 
     def atom(self, k: int) -> tuple:
         """The crossing sigma_k as a permutation."""
@@ -97,23 +93,13 @@ class ArtinStructure(GarsideStructure):
         return tuple(u)
 
     def join_simple(self, a, b):
-        """Least common multiple: the larger argument when they are
-        comparable.  Otherwise the join depends only on the union of the two
-        inversion sets, so it is memoised by ma | mb; the cache is emptied
-        when it holds ``simple_count()`` entries."""
+        """Least common multiple: the larger of a comparable pair, else one insertion pass."""
         ma, mb = self.order_mask[a], self.order_mask[b]
         if not ma & ~mb:
             return b
         if not mb & ~ma:
             return a
-        cache = self._join_cache
-        u = ma | mb
-        r = cache.get(u)
-        if r is None:
-            if len(cache) >= self.simple_count():
-                cache.clear()
-            r = cache[u] = self._join_pass(a, b)
-        return r
+        return self._join_pass(a, b)
 
     def _join_pass(self, a, b):
         """The meet's pass with `>` for `<`: `order` lists positions by

@@ -100,7 +100,7 @@ class BKLStructure(GarsideStructure):
         self._from_perm_cache: dict = {}  # by hand: keyed by the one permutation per simple
         self.from_mask = Memo(self._from_mask)
         self._complement_masks = Memo(lambda s: self.order_mask[self.complement(s)])
-        self._join_cache = Memo(lambda m: self.complement_inv(self.from_mask[m]))
+        self._join_by_mask = Memo(lambda m: self.complement_inv(self.from_mask[m]))
         self.atoms = tuple(self.from_mask[1 << i] for i in range(n * (n - 1) // 2))
 
     def atom(self, t: int, s: int) -> tuple:
@@ -180,7 +180,7 @@ class BKLStructure(GarsideStructure):
         # suffix is the blockwise meet, whose mask is the AND of the masks
         # of the complements.
         masks = self._complement_masks
-        return self._join_cache[masks[a] & masks[b]]
+        return self._join_by_mask[masks[a] & masks[b]]
 
     def _from_mask(self, m: int) -> tuple:
         """Partition whose same-block relation is the order mask m.

@@ -18,9 +18,9 @@ right-to-left wave of local slidings.
 Every unary fact about a simple is memoised per simple in a :class:`Memo`.
 ``tau``, ``tau_inv``, ``norm``, ``order_mask`` and the dual ``from_mask``
 are memos read by subscript (``st.tau[s]``); ``complement`` stays a method,
-as perfbench/tracer.py wraps it by name.  Four tables are kept by hand, each
-with its reason at its lookup: the dual ``from_perm`` memo, the classical
-join memo, and the render and token tables of ``words``.
+as perfbench/tracer.py wraps it by name.  Three tables are kept by hand,
+each with its reason at its lookup: the dual ``from_perm`` memo and the
+render and token tables of ``words``.
 """
 
 from __future__ import annotations

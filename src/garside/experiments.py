@@ -1,8 +1,10 @@
 """Exhaustive class statistics for elements of summit canonical length 1.
 
 For a structure on B_n and a Delta power i, every element Delta^i s with
-s a simple element other than 1 and Delta is examined; those whose class
-has summit infimum i and summit canonical length 1 are grouped into
+s a simple element other than 1 and Delta has summit infimum i and summit
+canonical length 1: its exponent sum lies strictly between those of
+Delta^i and Delta^(i+1), so no conjugate is a power of Delta, and sliding
+never lowers inf or raises sup.  These elements are grouped into
 conjugacy classes, and per class the sizes of the super summit set and
 of the set of sliding circuits are recorded.
 
@@ -21,6 +23,7 @@ from .core import (
     BudgetExceeded,
     Budgets,
     GarsideStructure,
+    VerificationError,
     delta_power,
     from_simple,
     multiply,
@@ -52,7 +55,6 @@ def enumerate_length_one_classes(
         raise BudgetExceeded(f"{st.name} has {st.simple_count()} simple elements, "
                              f"more than the set budget of {budgets.max_set_size}")
     results = []
-    # marks the t of each summit Delta^i t; compute_sss checks inf and length
     assigned: set = set()
     for s in st.simples():
         if s in assigned or s == st.trivial or s == st.delta:
@@ -60,7 +62,7 @@ def enumerate_length_one_classes(
         x = multiply(delta_power(st, i), from_simple(st, s))
         rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
         if rep.inf != i or rep.canonical_length != 1:
-            continue
+            raise VerificationError(f"Delta^{i} s slid to inf {rep.inf}, length {rep.canonical_length}")
         sss = compute_sss(rep, budgets, start=rep)
         sc = sliding_circuits_in_sss(sss, budgets)
         assigned.update(v.factors[0] for v in sss)

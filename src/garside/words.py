@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .artin import ArtinStructure
-from .bkl import BKLStructure, _band_index
+from .bkl import BKLStructure
 from .core import GarsideElement, GarsideStructure, left_normal_form
 
 
@@ -77,7 +77,7 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
             raise WordError(f"sigma index {k} out of range", idx)
         if isinstance(st, ArtinStructure):
             return [(st.atoms[k - 1], e)]
-        return [(st.atoms[_band_index(k + 1, k)], e)]
+        return [(st.atom(k + 1, k), e)]
     m = _BAND.match(tok)
     if m:
         t, s, e = int(m.group(1)), int(m.group(2)), -1 if m.group(3) else 1
@@ -86,7 +86,7 @@ def _parse_token(st: GarsideStructure, tok: str, idx: int) -> list:
         if isinstance(st, BKLStructure):
             if not 1 <= s < t <= st.n:
                 raise WordError(f"band indices ({t},{s}) out of range for {st.name}", idx)
-            return [(st.atoms[_band_index(t, s)], e)]
+            return [(st.atom(t, s), e)]
         if isinstance(st, ArtinStructure):
             if not 1 <= s < t <= st.n:
                 raise WordError(f"band indices ({t},{s}) out of range", idx)

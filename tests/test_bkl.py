@@ -393,5 +393,5 @@ def test_from_perm_checks_survive_filled_caches(capsys):
         assert mask not in st.from_mask
     for cache in (st._perm_cache, st._from_perm_cache,
                   st.order_mask, st.from_mask,
-                  st._complement_masks, st._join_cache):
+                  st._complement_masks, st._join_by_mask):
         assert 0 < len(cache) <= st.simple_count()

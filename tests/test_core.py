@@ -666,7 +666,7 @@ def test_every_per_simple_memo_is_a_memo_that_holds_its_function(monkeypatch, ca
     reads a memo through __getitem__.  After a `table` and an `nf` run,
     each entry equals a fresh computation of its function."""
     sts = {"artin": ArtinStructure(5), "bkl": BKLStructure(6)}
-    by_hand = {"artin": {"_join_cache", "_render_cache", "_token_cache"},
+    by_hand = {"artin": {"_render_cache", "_token_cache"},
                "bkl": {"_from_perm_cache", "_render_cache", "_token_cache"}}
     subscripted = {"artin": {"tau", "tau_inv", "norm", "order_mask"},
                    "bkl": {"tau", "tau_inv", "norm", "order_mask", "from_mask"}}

@@ -9,10 +9,12 @@ themselves, sent through the other structure and back.
 
 import random
 
+import pytest
+
 from garside.artin import ArtinStructure, artin_structure
 from garside.bkl import bkl_structure
 from garside.circuits import _class_invariants, _tau_orbit, compute_scg, solve_csp
-from garside.core import conjugate
+from garside.core import conjugate, multiply
 from garside.sliding import slide_to_circuit
 from garside.words import band_to_sigma_word, parse_word
 
@@ -148,3 +150,15 @@ def test_planted_pairs_deep_in_the_graph_get_the_same_answers():
         assert check_pair(xs, ys)
         walks.append(len(compute_scg(xs[k], targets=circuit_targets(ys[k])).parent))
     assert sum(walked >= 10 for walked in walks) >= 10, walks
+
+
+def test_elements_of_different_structures_do_not_mix():
+    """multiply and solve_csp refuse two elements over different
+    structures, even two descriptors of the same kind and size."""
+    for st, other in ((artin_structure(4), bkl_structure(4)),
+                      (artin_structure(4), ArtinStructure(4))):
+        x, y = parse_word(st, "s1 s2"), parse_word(other, "s1 s2")
+        with pytest.raises(ValueError, match="different structures"):
+            multiply(x, y)
+        with pytest.raises(ValueError, match="different structures"):
+            solve_csp(x, y)

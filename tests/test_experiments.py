@@ -6,10 +6,12 @@ import tracemalloc
 
 import pytest
 
+import garside.experiments
 from garside.artin import ArtinStructure, artin_structure
 from garside.bkl import BKLStructure, bkl_structure
 from garside.circuits import compute_sss
-from garside.core import delta_power, from_simple, multiply
+from garside.cli import main
+from garside.core import VerificationError, delta_power, from_simple, multiply
 from garside.experiments import (
     CSV_HEADER,
     ClassStatistics,
@@ -134,14 +136,31 @@ def test_nonzero_inf_row_bkl6():
 
 
 def test_classes_skip_wrong_invariants():
-    # at infimum 1 in the classical structure some Delta s collapse:
-    # their class has larger summit infimum, so fewer classes than at 0
+    # no Delta s collapses: at infimum 0 and 1 alike the summit sets hold
+    # all 22 candidates of B_4, each at inf i and canonical length 1
     st = artin_structure(4)
     at0 = enumerate_length_one_classes(st, 0)
     at1 = enumerate_length_one_classes(st, 1)
+    assert sum(c.sss_size for c in at0) == sum(c.sss_size for c in at1) == 22
     for c in at1:
         assert c.representative.inf == 1
         assert c.representative.canonical_length == 1
+
+
+def test_a_candidate_that_leaves_length_one_is_a_program_fault(monkeypatch, capsys):
+    """Every candidate Delta^i s has summit inf i and canonical length 1
+    (see enumerate_length_one_classes), so a circuit element of length 2
+    stops the table with VerificationError, exit 4, rather than dropping
+    its class from the row."""
+    st = artin_structure(4)
+    s1 = from_simple(st, st.atoms[0])
+    monkeypatch.setattr(garside.experiments, "slide_to_circuit",
+                        lambda x, max_states: (multiply(s1, s1), None))
+    with pytest.raises(VerificationError, match="inf 0, length 2"):
+        enumerate_length_one_classes(st, 0)
+    assert main(["--n", "4", "table"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal check failed")
 
 
 def test_emit_csv_shapes():

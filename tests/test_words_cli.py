@@ -39,7 +39,7 @@ from garside.words import (
 
 from conftest import random_element
 from golden.make_corpus import CORPUS
-from oracles import argparse_args, cyclic_sliding, word_to_simple
+from oracles import ReverseStructure, argparse_args, cyclic_sliding, word_to_simple
 
 
 def el(st, ks):
@@ -198,6 +198,19 @@ def test_render_simple_forms():
     assert render_simple(ast, ast.atom(2)) == "s2"
     bst = bkl_structure(4)
     assert render_simple(bst, bst.atom(3, 1)) == "a(3,1)"
+
+
+def test_words_on_a_structure_that_is_no_braid_structure():
+    """The reverse structure of B_4 shares the simples of B_4 but is no
+    braid structure: its sigma and band letters are refused at their
+    token, and a simple renders as its repr."""
+    rev = ReverseStructure(artin_structure(4))
+    for text, what in (("s1", "sigma"), ("a(2,1)", "band")):
+        with pytest.raises(WordError) as exc:
+            parse_word(rev, text)
+        assert exc.value.position == 1
+        assert str(exc.value) == f"token 1: {what} letters need a braid structure"
+    assert render_simple(rev, rev.atoms[0]) == repr((2, 1, 3, 4))
 
 
 def test_cached_rendering_matches_uncached_on_every_simple():
@@ -369,6 +382,15 @@ def test_cli_help_lists_every_command(capsys):
         main(["rigid", "-h"])
     assert exc.value.code == 0
     assert "  -k N " in capsys.readouterr().out
+
+
+def test_cli_help_with_a_value_is_a_usage_error(capsys):
+    for argv in (["-h=x"], ["--help=x"], ["nf", "-h=x"], ["nf", "--help=x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument -h/--help: ignored explicit argument 'x'" in err, argv
 
 
 def test_cli_usage_errors_exit_2_with_usage_on_stderr(capsys):

@@ -22,10 +22,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_table_n6_work_counts(monkeypatch, capsys):
-    """`table --n 6 --inf 0` with a cold join cache: the conjugations of
-    the super summit set walks (the table's only conjugations in
-    `circuits`), the sliding steps of the circuit membership tests, and the
-    insertion passes of the classical join."""
+    """`table --n 6 --inf 0`: the conjugations of the super summit set
+    walks (the table's only conjugations in `circuits`), the sliding steps
+    of the circuit membership tests, and the insertion passes of the
+    classical join, one per join of two non-comparable simples."""
     counts = dict.fromkeys(("sss_conjugations", "membership_steps", "join_passes"), 0)
     conjugate_simple = garside.circuits.conjugate_simple
     slide_until = garside.circuits._slide_until
@@ -47,11 +47,10 @@ def test_table_n6_work_counts(monkeypatch, capsys):
     monkeypatch.setattr(garside.circuits, "conjugate_simple", conjugate)
     monkeypatch.setattr(garside.circuits, "_slide_until", membership_walk)
     monkeypatch.setattr(ArtinStructure, "_join_pass", insertion_pass)
-    monkeypatch.setattr(artin_structure(6), "_join_cache", {})
     assert main(["--n", "6", "--format", "csv", "table", "--inf", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == (
         "artin,6,0,89,38,22,15,8.06742,4.40449,2.14131,16.2646,6.38162,3.78721")
-    assert counts == {"sss_conjugations": 917, "membership_steps": 503, "join_passes": 2503}
+    assert counts == {"sss_conjugations": 917, "membership_steps": 503, "join_passes": 4478}
 
 
 def test_table_bkl_n6_work_counts(monkeypatch, capsys):
