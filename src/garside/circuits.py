@@ -18,9 +18,11 @@ of y or a tau-image of it.  SC(y) is a union of whole circuits and closed
 under tau, so every such element is a vertex, and the trajectory of y
 already gives a conjugator to each: a prefix product of the slidings times
 a power of Delta.  Only a NO needs the whole graph.  The graph records the
-arrow that first reached each vertex; a YES composes a conjugator along
-these for its hit alone, shifts it by the central power of Delta that
-makes its |inf| least, and checks it once.
+arrow that first reached each vertex, so a YES is one path: x's slidings
+onto its circuit, the arrows from there to the hit, a power of Delta and
+y's slidings undone.  The witness is one normal form of those letters,
+shifted by the central power of Delta that makes its |inf| least and
+checked once.
 
 The super summit set is closed the same way.  For each atom a, the least
 simple c with a <= c keeping a summit element y in the set, rho_a(y), is
@@ -68,7 +70,6 @@ twisted targets, and membership in SC is tested once per orbit.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 
 from .core import (
     BudgetExceeded,
@@ -78,10 +79,8 @@ from .core import (
     VerificationError,
     conjugate,
     conjugate_simple,
-    delta_power,
     inverse,
     left_normal_form,
-    multiply,
 )
 from .sliding import _slide_until, slide_to_circuit
 
@@ -280,14 +279,6 @@ class SlidingCircuitsGraph:
         self.arrows: list = []  # (source, conjugator, target)
         self.parent = parent
 
-    def conjugator_to(self, v: GarsideElement) -> GarsideElement:
-        """The product of the parent chain: a conjugator from the representative to v."""
-        simples = []
-        while self.parent[v] is not None:
-            v, s = self.parent[v]
-            simples.append((s, 1))
-        return left_normal_form(v.structure, reversed(simples))
-
 
 def compute_scg(
     x: GarsideElement,
@@ -354,9 +345,6 @@ def compute_scg(
     return graph
 
 
-ConjugatorWitness = namedtuple("ConjugatorWitness", "source target conjugator")
-
-
 def _class_invariants(x: GarsideElement) -> tuple:
     """(exponent sum, cycle type) of x = Delta^p x_1 ... x_r: its images
     under the abelianisation B_n -> Z and, up to conjugacy, under
@@ -389,8 +377,8 @@ def _class_invariants(x: GarsideElement) -> tuple:
 
 def solve_csp(
     x: GarsideElement, y: GarsideElement, budgets: Budgets = Budgets()
-) -> ConjugatorWitness | None:
-    """Conjugacy search: a verified witness c with x^c = y, or None.
+) -> GarsideElement | None:
+    """Conjugacy search: a verified conjugator c with x^c = y, or None.
 
     The filters run cheapest first.  Different class invariants (exponent
     sum, cycle type of the permutation) answer None before either element
@@ -401,13 +389,14 @@ def solve_csp(
     product, each element keeping its first (j, k) with j, then k,
     increasing.  The graph of x is walked until it knows a target.  Only for
     the first one found, the hit, is a conjugator composed and checked:
-    c = w_x g (P_j Delta^k)^-1, w_x the prefix product of x's trajectory
-    that slides x to its circuit and g = `conjugator_to(hit)`, times the
-    power Delta^(m e) that makes |inf(c)| least, the non-negative one of
-    two.  Delta^e, e the order of tau, is central, so every such shift
-    conjugates x to y, and x^c = y is checked before the witness is
-    returned (VerificationError if not).  None from the walk needs the
-    whole graph under the vertex budget.
+    c = w_x g Delta^-k P_j^-1, w_x the product of the prefixes that slide x
+    to its circuit and g that of the parent chain from there to the hit,
+    taken as one left normal form of those letters.  Its Delta power p is
+    then moved by a multiple of e, the order of tau, to the residue of
+    least |p|, the non-negative one of two: Delta^e is central and leaves
+    the factors as they are, so every such shift conjugates x to y.
+    x^c = y is checked before c is returned (VerificationError if not).
+    None from the walk needs the whole graph under the vertex budget.
     """
     if x.structure is not y.structure:
         raise ValueError("elements over different structures")
@@ -426,17 +415,25 @@ def solve_csp(
     if hit is None:
         return None
     j, k = targets[hit]
-    wit_x = traj_x.prefix_product(traj_x.entry_index)
-    to_hit = multiply(traj_y.prefix_product(j), delta_power(x.structure, k))
-    c = multiply(multiply(wit_x, graph.conjugator_to(hit)), inverse(to_hit))
-    e = x.structure.tau_order
+    st = x.structure
+    chain, v = [], hit
+    while graph.parent[v] is not None:
+        v, s = graph.parent[v]
+        chain.append((s, 1))
+    c = left_normal_form(st, [
+        *((s, 1) for s in traj_x.prefixes[:traj_x.entry_index]),
+        *reversed(chain),
+        (st.delta, -k),
+        *((s, -1) for s in reversed(traj_y.prefixes[:j])),
+    ])
+    e = st.tau_order
     p = c.p % e
     if 2 * p > e:
         p -= e
-    c = multiply(c, delta_power(x.structure, p - c.p))
+    c = GarsideElement(st, p, c.factors)
     if conjugate(x, c) != y:
         raise VerificationError("witness does not conjugate source to target")
-    return ConjugatorWitness(x, y, c)
+    return c
 
 
 def compute_sss(

@@ -344,14 +344,14 @@ def _dispatch(args) -> tuple:
     if args.command == "conj":
         x = parse_word(st, args.word1)
         y = parse_word(st, args.word2)
-        witness = solve_csp(x, y, budgets)
-        if witness is None:
+        c = solve_csp(x, y, budgets)
+        if c is None:
             no = _dumps({"conjugate": False}) if args.format == "json" else "NO"
             return EXIT_NOT_CONJUGATE, [no + "\n"]
         if args.format == "json":
             return EXIT_OK, [_dumps({"conjugate": True,
-                                     "witness": element_to_json(witness.conjugator)}) + "\n"]
-        return EXIT_OK, [f"YES {render_element(witness.conjugator)}\n"]
+                                     "witness": element_to_json(c)}) + "\n"]
+        return EXIT_OK, [f"YES {render_element(c)}\n"]
 
     if args.command == "table":
         if args.n < 3:

@@ -22,11 +22,9 @@ from .circuits import compute_sss, sliding_circuits_in_sss
 from .core import (
     BudgetExceeded,
     Budgets,
+    GarsideElement,
     GarsideStructure,
     VerificationError,
-    delta_power,
-    from_simple,
-    multiply,
 )
 from .sliding import slide_to_circuit
 
@@ -59,7 +57,8 @@ def enumerate_length_one_classes(
     for s in st.simples():
         if s in assigned or s == st.trivial or s == st.delta:
             continue
-        x = multiply(delta_power(st, i), from_simple(st, s))
+        # 1 < s < Delta, so Delta^i s is already in normal form
+        x = GarsideElement(st, i, (s,))
         rep, _ = slide_to_circuit(x, budgets.max_trajectory_states)
         if rep.inf != i or rep.canonical_length != 1:
             raise VerificationError(f"Delta^{i} s slid to inf {rep.inf}, length {rep.canonical_length}")

@@ -25,7 +25,6 @@ from .core import (
     conjugate_simple,
     from_simple,
     identity_element,
-    left_normal_form,
     multiply,
 )
 
@@ -56,10 +55,11 @@ def preferred_prefix(x: GarsideElement):
 
 
 class SlidingTrajectory(namedtuple("SlidingTrajectory",
-                                   "start states prefixes entry_index period")):
-    """The orbit of iterated cyclic sliding from a starting element.
+                                   "states prefixes entry_index period")):
+    """The orbit of iterated cyclic sliding from a starting element
+    x = states[0].
 
-    states[i] = s^i(start); prefixes[i] is the preferred prefix conjugating
+    states[i] = s^i(x); prefixes[i] is the preferred prefix conjugating
     states[i] to states[i+1].  states[entry_index + period] = states[entry_index],
     with entry_index minimal and then period minimal.
     """
@@ -67,25 +67,21 @@ class SlidingTrajectory(namedtuple("SlidingTrajectory",
     __slots__ = ()
 
     def _index(self, i: int) -> int:
-        """Where s^i(start) and its preferred prefix sit in states and
+        """Where s^i(x) and its preferred prefix sit in states and
         prefixes, for any i >= 0: past the last state, the circuit repeats."""
         if i < len(self.states):
             return i
         return self.entry_index + (i - self.entry_index) % self.period
 
     def state(self, i: int) -> GarsideElement:
-        """s^i(start), for any i >= 0."""
+        """s^i(x), for any i >= 0."""
         return self.states[self._index(i)]
 
-    def prefix_product(self, i: int) -> GarsideElement:
-        """P_i(start) = p(start) p(s(start)) ... p(s^{i-1}(start))."""
-        return left_normal_form(self.start.structure,
-                                [(self.prefixes[self._index(j)], 1) for j in range(i)])
-
     def prefix_products(self, k: int, max_factors: int = Budgets().max_set_size) -> list:
-        """[P_0(start), ..., P_k(start)], each the one before times one
-        prefix; BudgetExceeded past max_factors factors in all."""
-        st = self.start.structure
+        """[P_0(x), ..., P_k(x)], P_i(x) = p(x) p(s(x)) ... p(s^{i-1}(x)),
+        each the one before times one prefix; BudgetExceeded past
+        max_factors factors in all."""
+        st = self.states[0].structure
         out = [identity_element(st)]
         factors = 0
         for j in range(k):
@@ -128,15 +124,16 @@ def sliding_trajectory(
     raised instead of looping on."""
     index, prefixes, last = _slide_until(x, (), max_states)
     entry = index[last]
-    return SlidingTrajectory(x, tuple(index), tuple(prefixes), entry, len(index) - entry)
+    return SlidingTrajectory(tuple(index), tuple(prefixes), entry, len(index) - entry)
 
 
 def slide_to_circuit(x: GarsideElement, max_states: int = Budgets().max_trajectory_states):
     """Iterate sliding into the periodic part.
 
     Returns (representative, trajectory): the first recurrent state and the
-    full trajectory, whose ``prefix_product(entry_index)`` conjugates x to
-    the representative.
+    full trajectory.  The product of ``prefixes[:entry_index]`` conjugates
+    x to the representative; `circuits.solve_csp` takes those prefixes as
+    the first letters of its one normal form.
     """
     traj = sliding_trajectory(x, max_states)
     return traj.states[traj.entry_index], traj

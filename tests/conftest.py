@@ -12,13 +12,14 @@ from garside.core import (
     conjugate_simple,
     delta_power,
     from_simple,
+    identity_element,
     inverse,
     left_normal_form,
     multiply,
 )
 from garside.sliding import sliding_trajectory
 
-from oracles import slide_witness
+from oracles import prefix_product, slide_witness
 
 
 def random_word(st, rng, length=None):
@@ -222,6 +223,19 @@ def scan_indecomposable_conjugators(y, member):
     return out
 
 
+def parent_chain_product(graph, v):
+    """The product of the simples on the parent chain of v, multiplied one
+    at a time from the representative: a conjugator from it to v."""
+    simples = []
+    while graph.parent[v] is not None:
+        v, s = graph.parent[v]
+        simples.append(s)
+    out = identity_element(v.structure)
+    for s in reversed(simples):
+        out = multiply(out, from_simple(v.structure, s))
+    return out
+
+
 def full_graph_conjugator(x, y):
     """Solver oracle: build the whole sliding circuits graph of x, then take
     the first vertex, in the order the walk found them, that is
@@ -242,8 +256,8 @@ def full_graph_conjugator(x, y):
                 if t == traj.states[j]:
                     break
             if t == v:
-                to_v = multiply(traj.prefix_product(j), delta_power(st, k))
-                w = multiply(wit_x, graph.conjugator_to(v))
+                to_v = multiply(prefix_product(y, j), delta_power(st, k))
+                w = multiply(wit_x, parent_chain_product(graph, v))
                 return shortest_central_shift(multiply(w, inverse(to_v)))
     return None
 

@@ -51,7 +51,7 @@ def slide_witness(x: GarsideElement):
     """(representative, witness): the first recurrent state of x's
     trajectory and the prefix product that conjugates x to it."""
     rep, traj = slide_to_circuit(x)
-    return rep, traj.prefix_product(traj.entry_index)
+    return rep, prefix_product(x, traj.entry_index)
 
 
 # -- the prefix order on simples, by loops over the encodings -----------------

@@ -88,7 +88,7 @@ def check_pair(xs, ys):
         return False
     # each witness conjugates x to y in the other structure
     for witness, x, y in zip(answers, xs[::-1], ys[::-1]):
-        assert conjugate(x, parse_word(x.structure, sigma_text(witness.conjugator))) == y
+        assert conjugate(x, parse_word(x.structure, sigma_text(witness))) == y
     return True
 
 

@@ -376,12 +376,14 @@ def test_right_transport_mirrors_left(rng):
 
 def test_slide_to_circuit_examples():
     st = artin_structure(4)
-    rep, traj = slide_to_circuit(el(st, [2, 1, 3]))
-    assert rep == el(st, [2, 1, 3])
-    assert traj.prefix_product(traj.entry_index) == identity_element(st)
-    rep, traj = slide_to_circuit(el(st, [1, 2, 3]))
+    x = el(st, [2, 1, 3])
+    rep, traj = slide_to_circuit(x)
+    assert rep == x
+    assert prefix_product(x, traj.entry_index) == identity_element(st)
+    x = el(st, [1, 2, 3])
+    rep, traj = slide_to_circuit(x)
     assert rep == el(st, [1, 3, 2])
-    assert conjugate(el(st, [1, 2, 3]), traj.prefix_product(traj.entry_index)) == rep
+    assert conjugate(x, prefix_product(x, traj.entry_index)) == rep
 
 
 def test_trajectory_invariants(rng):
@@ -400,7 +402,7 @@ def test_trajectory_invariants(rng):
             # minimality of the entry point and the period
             for i in range(n):
                 assert states[i] not in states[i + 1 :]
-            assert conjugate(x, traj.prefix_product(n)) == states[n]
+            assert conjugate(x, prefix_product(x, n)) == states[n]
 
 
 def test_length_decrease_within_delta_norm(rng):
@@ -536,15 +538,14 @@ def test_unbounded_prefix_chain_counterexample():
 
 
 def test_trajectory_prefix_product_matches_the_stepwise_oracle(rng):
-    """P_i read off the trajectory, in one normal form of its prefixes,
-    equals the product built one sliding at a time, for every i up to two
-    periods past the last state."""
+    """P_i read off the trajectory's prefixes equals the product built one
+    sliding at a time, for every i up to two periods past the last state."""
     for st in structures_for_properties():
         for _ in range(10):
             x = random_element(st, rng)
             traj = sliding_trajectory(x)
-            for i in range(len(traj.states) + 2 * traj.period):
-                assert traj.prefix_product(i) == prefix_product(x, i)
+            k = len(traj.states) + 2 * traj.period - 1
+            assert traj.prefix_products(k) == [prefix_product(x, i) for i in range(k + 1)]
 
 
 def test_prefix_products_conjugate_along_trajectory(rng):

@@ -650,15 +650,15 @@ def test_cli_refuses_huge_n_before_building_the_structure(capsys, monkeypatch):
 def test_cli_failed_reverification_exit_code(capsys, monkeypatch):
     """A composed conjugator with one atom too many is caught by the one
     check of the answer, in solve_csp itself."""
-    from garside.circuits import SlidingCircuitsGraph, solve_csp
+    import garside.circuits
+    from garside.circuits import solve_csp
 
-    composed = SlidingCircuitsGraph.conjugator_to
+    compose = garside.circuits.left_normal_form
 
-    def corrupted(graph, v):
-        c = composed(graph, v)
-        return multiply(c, from_simple(c.structure, c.structure.atoms[0]))
+    def corrupted(st, word):
+        return compose(st, [*word, (st.atoms[0], 1)])
 
-    monkeypatch.setattr(SlidingCircuitsGraph, "conjugator_to", corrupted)
+    monkeypatch.setattr(garside.circuits, "left_normal_form", corrupted)
     code, out, err = run_cli(capsys, ["conj", "s1 s2 s3", "s2 s1 s3"])
     assert code == 4
     assert out == ""
